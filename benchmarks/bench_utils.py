@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro import Deobfuscator
+from repro import Deobfuscator, PipelineOptions
 from repro.baselines import LiEtAl, PSDecode, PowerDecode, PowerDrive
 from repro.baselines.common import BaselineResult
 
@@ -38,7 +38,7 @@ class ToolAdapter:
 
 
 def our_tool_adapter(**kwargs) -> ToolAdapter:
-    tool = Deobfuscator(**kwargs)
+    tool = Deobfuscator(options=PipelineOptions(**kwargs))
     return ToolAdapter(name="Invoke-Deobfuscation", run=tool.deobfuscate)
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from benchmarks.bench_utils import fig5_corpus, render_table, write_result
 from benchmarks.trajectory import stage_metrics
-from repro import Deobfuscator
+from repro import Deobfuscator, PipelineOptions
 from repro.batch.summary import PHASE_METRICS, summarize
 from repro.obs import PHASES
 
@@ -35,7 +35,9 @@ def corpus():
 
 def run_corpus(corpus, collect_spans):
     """Deobfuscate every sample; return (results, corpus wall seconds)."""
-    tool = Deobfuscator(collect_spans=collect_spans)
+    tool = Deobfuscator(
+        options=PipelineOptions(collect_spans=collect_spans)
+    )
     start = time.perf_counter()
     results = [tool.deobfuscate(sample.script) for sample in corpus]
     return results, time.perf_counter() - start

@@ -6,10 +6,6 @@ Single-flight plus the content-addressed cache must hold the hit ratio
 at ≥ 90%, drop nothing, return byte-identical results to the offline
 ``repro deobfuscate`` path, and answer cached requests ≥ 10× faster
 than cold pipeline executions.
-
-The fleet PR adds the front-end comparison: the asyncio edge (the
-``repro serve`` default) must sustain at least the threaded edge's
-cache-hit throughput on the same burst.
 """
 
 import json
@@ -27,7 +23,6 @@ from repro.service import (
     DeobfuscationService,
     ServiceConfig,
     start_async_server,
-    start_server,
 )
 
 UNIQUE_SCRIPTS = 10
@@ -52,13 +47,10 @@ def served():
     service = DeobfuscationService(
         ServiceConfig(jobs=2, timeout=60.0, queue_limit=128)
     )
-    server, thread = start_server(service)
-    host, port = server.server_address[:2]
+    handle = start_async_server(service)
+    host, port = handle.server_address
     yield service, f"http://{host}:{port}"
-    server.shutdown()
-    thread.join(timeout=5.0)
-    server.server_close()
-    service.close()
+    handle.shutdown(drain=True)
 
 
 def post(url, script):
@@ -173,99 +165,3 @@ def test_service_throughput(served, scripts):
     assert hit_ratio >= 0.9
     assert speedup >= 10.0
 
-
-def _burst(url, scripts, total):
-    """Fire *total* concurrent cache-hit requests; return (wall, errors)."""
-    outcomes = [None] * total
-    barrier = threading.Barrier(total)
-
-    def one(slot):
-        barrier.wait(timeout=60.0)
-        outcomes[slot] = post(url, scripts[slot % len(scripts)])
-
-    threads = [
-        threading.Thread(target=one, args=(slot,)) for slot in range(total)
-    ]
-    started = time.monotonic()
-    for worker in threads:
-        worker.start()
-    for worker in threads:
-        worker.join(timeout=120.0)
-    wall = time.monotonic() - started
-    assert all(outcome is not None for outcome in outcomes)
-    for code, body, _elapsed in outcomes:
-        assert code == 200 and body["cache_hit"] is True
-    return wall
-
-
-def _edge_rps(make_edge, scripts, rounds=3):
-    """Best-of-*rounds* cache-hit throughput for one front end."""
-    service = DeobfuscationService(
-        ServiceConfig(jobs=2, timeout=60.0, queue_limit=128)
-    )
-    url, stop = make_edge(service)
-    try:
-        for script in scripts:  # warm the cache: the burst is edge-bound
-            code, body, _elapsed = post(url, script)
-            assert code == 200 and body["status"] == "ok"
-        best = float("inf")
-        for _ in range(rounds):
-            best = min(best, _burst(url, scripts, TOTAL_REQUESTS))
-        return TOTAL_REQUESTS / best
-    finally:
-        stop()
-        service.close()
-
-
-def _threaded_edge(service):
-    server, thread = start_server(service)
-    host, port = server.server_address[:2]
-
-    def stop():
-        server.shutdown()
-        thread.join(timeout=5.0)
-        server.server_close()
-
-    return f"http://{host}:{port}", stop
-
-
-def _async_edge(service):
-    handle = start_async_server(service)
-    host, port = handle.server_address
-    return f"http://{host}:{port}", lambda: handle.shutdown(drain=False)
-
-
-def test_async_edge_sustains_threaded_throughput(scripts):
-    """The default asyncio front end must not cost throughput.
-
-    Both edges answer the same 100-request cache-hit burst over the
-    same warmed 2-worker service; the comparison is pure front-end
-    overhead (connection accept, parse, dispatch, respond).  Best of 3
-    rounds per edge smooths scheduler noise; the bar keeps a small
-    tolerance because two same-machine runs are never identical.
-    """
-    threaded_rps = _edge_rps(_threaded_edge, scripts)
-    async_rps = _edge_rps(_async_edge, scripts)
-
-    ratio = async_rps / threaded_rps if threaded_rps else float("inf")
-    text = render_table(
-        f"Front-end comparison — {TOTAL_REQUESTS} concurrent cache hits, "
-        "best of 3 rounds",
-        ["Edge", "req/s"],
-        [
-            ["threaded (--legacy-threaded)", f"{threaded_rps:.0f}"],
-            ["asyncio (default)", f"{async_rps:.0f}"],
-            ["asyncio / threaded", f"{ratio:.2f}x"],
-        ],
-    )
-    write_result("service_edge_throughput", text)
-    stage_metrics("service_edge_throughput", {
-        "threaded_rps": threaded_rps,
-        "async_rps": async_rps,
-        "async_over_threaded": ratio,
-    })
-
-    assert ratio >= 0.9, (
-        f"asyncio edge lost throughput: {async_rps:.0f} req/s vs "
-        f"threaded {threaded_rps:.0f} req/s"
-    )

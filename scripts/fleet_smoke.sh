@@ -98,7 +98,8 @@ assert one["requests"] == 20, one
 assert one["exemplar"]["trace_id"], one
 assert sum(status["router"]["routed"].values()) == 20, status["router"]
 '
-python -m repro top --url "$base" --once | grep -q "instances=2"
+python -m repro top --url "$base" --once > "$workdir/top.out"
+grep -q "instances=2" "$workdir/top.out"
 echo "fleet /statusz aggregation confirmed"
 
 # Kill instance 0, then restart it on the same port with the same

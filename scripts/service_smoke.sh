@@ -82,7 +82,8 @@ echo "repro top --once confirmed"
 python -m repro logs "$workdir/events.jsonl" --level warning \
     > "$workdir/logs.out"
 python -m repro logs "$workdir/events.jsonl" --logger service \
-    --tail 5 | grep -q "service"
+    --tail 5 > "$workdir/logs-tail.out"
+grep -q "service" "$workdir/logs-tail.out"
 echo "repro logs filters confirmed"
 
 kill -TERM "$server_pid"

@@ -367,7 +367,14 @@ class BatchPool:
         are preserved.  The pool may be reused afterwards; fresh
         workers spawn on demand.
         """
+        # Every forked worker holds a copy of the parent's pipe end, so
+        # closing ours never reaches it as EOF: ask idle workers to
+        # exit, and busy ones once their current task is done.
         for state in self._workers.values():
+            try:
+                state.conn.send(None)  # graceful stop sentinel
+            except (BrokenPipeError, OSError):
+                pass
             try:
                 state.conn.close()
             except OSError:

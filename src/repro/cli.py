@@ -18,8 +18,7 @@ batch INPUT... [--jobs N] [--timeout S] [--output FILE] [--resume] ...
     runs each unique content hash once and reuses the result.
 serve [--host H] [--port P] [--jobs N] [--timeout S] [--queue-limit N]
     Run the long-running HTTP deobfuscation service: asyncio front
-    end (``--legacy-threaded`` keeps the old thread-per-connection
-    server), persistent worker fleet with optional queue-depth
+    end, persistent worker fleet with optional queue-depth
     autoscaling (``--max-jobs``), sharded content-addressed result
     cache with single-flight dedup and optional disk persistence
     (``--cache-dir`` snapshots + journal, warm-start on restart),
@@ -391,6 +390,7 @@ def _cmd_batch(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.obs.log import configure_logging
     from repro.service import ServiceConfig
+    from repro.service.aserver import run_async_server
 
     # The service always runs with the event log on: the ring buffer
     # feeds /statusz's tail, the optional file sink feeds `repro logs`.
@@ -416,11 +416,7 @@ def _cmd_serve(args) -> int:
         worker=args.worker,
         trace_path=args.trace_out,
     )
-    if args.legacy_threaded:
-        from repro.service.http import run_server
-    else:
-        from repro.service.aserver import run_async_server as run_server
-    return run_server(
+    return run_async_server(
         config,
         host=args.host,
         port=args.port,
@@ -457,8 +453,6 @@ def _cmd_fleet(args) -> int:
         serve_args += ["--language", args.language]
     if args.worker != "repro.batch.task:run_one":
         serve_args += ["--worker", args.worker]
-    if args.legacy_threaded:
-        serve_args.append("--legacy-threaded")
     return run_fleet(
         args.instances,
         host=args.host,
@@ -1044,11 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
         "admission queue depth (default: no autoscaling)",
     )
     p.add_argument(
-        "--legacy-threaded", action="store_true",
-        help="use the original thread-per-connection HTTP server "
-        "instead of the asyncio front end",
-    )
-    p.add_argument(
         "--access-log", action="store_true",
         help="log one line per HTTP request to stderr",
     )
@@ -1128,10 +1117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-shards", type=int, default=8, metavar="N",
         help="result-cache shards per instance (default: 8)",
-    )
-    p.add_argument(
-        "--legacy-threaded", action="store_true",
-        help="run instances on the thread-per-connection server",
     )
     p.add_argument(
         "--access-log", action="store_true",

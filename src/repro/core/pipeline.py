@@ -169,23 +169,13 @@ class Deobfuscator:
         # resolve cannot fail.
         self.frontend: Frontend = resolve_frontend(options.language)
 
-    def __getattr__(self, name: str):
-        # Option fields read through to the options record, so
-        # ``deobfuscator.rename`` keeps working across the redesign.
-        options = self.__dict__.get("options")
-        if options is not None and name in PipelineOptions.field_names():
-            return getattr(options, name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
     def deobfuscate(
         self, script: str, recorder=None
     ) -> DeobfuscationResult:
         started = time.perf_counter()
         # The cooperative wall-clock ceiling: an explicit option wins,
         # else the policy's wall_time_seconds budget applies.
-        deadline_seconds = self.deadline_seconds
+        deadline_seconds = self.options.deadline_seconds
         if deadline_seconds is None:
             deadline_seconds = self.policy.wall_time_seconds
         deadline = (
@@ -205,14 +195,14 @@ class Deobfuscator:
         pipeline_span = (
             recorder.begin("pipeline") if recorder is not None else None
         )
-        tracer = Tracer(enabled=self.collect_spans, recorder=recorder)
+        tracer = Tracer(enabled=self.options.collect_spans, recorder=recorder)
         frontend = self.frontend
         # One subtree memo per run, shared across fixpoint iterations
         # (identical obfuscated fragments recur within one script);
         # front-end-private process-wide counters (the PowerShell
         # intern table) record this run's delta through the
         # begin/finalize bracket.
-        memo = SubtreeMemo() if self.subtree_memo else None
+        memo = SubtreeMemo() if self.options.subtree_memo else None
         counters_token = frontend.begin_counters()
 
         def finalize_counters() -> None:
@@ -241,15 +231,15 @@ class Deobfuscator:
 
         current = script
         converged = False
-        for iteration in range(self.max_iterations):
+        for iteration in range(self.options.max_iterations):
             if out_of_time():
                 result.timed_out = True
                 break
             step = current
-            if self.token_phase:
+            if self.options.token_phase:
                 with tracer.span("token", iteration=iteration):
                     step = frontend.token_pass(step, stats=stats)
-            if self.ast_phase and not out_of_time():
+            if self.options.ast_phase and not out_of_time():
                 with tracer.span("ast", iteration=iteration):
                     step = frontend.ast_pass(
                         step,
@@ -259,7 +249,7 @@ class Deobfuscator:
                         audit=audit,
                         stats=stats,
                     )
-            if self.multilayer and not out_of_time():
+            if self.options.multilayer and not out_of_time():
                 with tracer.span("multilayer", iteration=iteration):
                     unwrapped = frontend.unwrap_layers(step)
                 step = unwrapped.script
@@ -277,13 +267,13 @@ class Deobfuscator:
         if not converged and out_of_time():
             result.timed_out = True
 
-        if self.rename:
+        if self.options.rename:
             if out_of_time():
                 result.timed_out = True
             else:
                 with tracer.span("rename"):
                     current = frontend.rename(current)
-        if self.reformat:
+        if self.options.reformat:
             if out_of_time():
                 result.timed_out = True
             else:
@@ -292,7 +282,7 @@ class Deobfuscator:
 
         result.script = current
 
-        if self.tag_techniques and not out_of_time():
+        if self.options.tag_techniques and not out_of_time():
             with tracer.span(SPAN_TECHNIQUES):
                 stats.techniques = frontend.tag_techniques(
                     result.original,

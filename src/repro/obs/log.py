@@ -231,6 +231,39 @@ class _LogState:
 
 _STATE = _LogState()
 
+# Worker pools fork while other threads may be mid-write.  A child that
+# inherits a ring or sink lock held by one of those threads blocks on
+# its first event forever, so fork() waits for both locks and parent
+# and child each release them afterwards.
+_FORK_HELD: List[threading.Lock] = []
+
+
+def _hold_locks_for_fork() -> None:
+    held = [
+        part._lock
+        for part in (_STATE.ring, _STATE.sink)
+        if part is not None
+    ]
+    for lock in held:
+        lock.acquire()
+    _FORK_HELD[:] = held
+
+
+def _release_locks_after_fork() -> None:
+    # Empty the list before releasing: a concurrent fork in another
+    # thread refills it as soon as it gets the locks.
+    held = _FORK_HELD[:]
+    _FORK_HELD.clear()
+    for lock in reversed(held):
+        lock.release()
+
+
+os.register_at_fork(
+    before=_hold_locks_for_fork,
+    after_in_parent=_release_locks_after_fork,
+    after_in_child=_release_locks_after_fork,
+)
+
 
 def configure_logging(
     level: str = "info",

@@ -25,15 +25,14 @@ Layers, bottom up:
   owning the interactive :class:`~repro.batch.BatchPool` API — grown
   and shrunk on queue-depth watermarks when autoscaling is on — and
   the lifetime telemetry aggregates.
-- :mod:`repro.service.aserver` — the asyncio HTTP front end (the
-  ``repro serve`` default): non-blocking parsing, bounded edge
-  admission, graceful drain.
-- :mod:`repro.service.http` — the original thread-per-connection
-  front end (``repro serve --legacy-threaded``), same routes and
-  dialect.
+- :mod:`repro.service.aserver` — the one asyncio HTTP edge
+  (non-blocking parsing under hard input limits, keep-alive) and the
+  ``repro serve`` routes on it: bounded edge admission, graceful
+  drain.
 - :mod:`repro.service.fleet` — ``repro fleet``: N instances behind a
-  consistent-hash router (script SHA-256 ring, rendezvous fallback),
-  with fleet-wide ``/metrics`` aggregation.
+  consistent-hash router (script SHA-256 ring, rendezvous fallback)
+  that runs on the same edge, with fleet-wide ``/metrics``
+  aggregation.
 - :mod:`repro.service.metrics` — Prometheus text rendering and
   cross-instance snapshot merging.
 
@@ -62,11 +61,6 @@ from repro.service.aserver import (
     run_async_server,
     start_async_server,
 )
-from repro.service.http import (
-    ServiceHTTPServer,
-    run_server,
-    start_server,
-)
 from repro.service.metrics import merge_snapshots, render_metrics
 from repro.service.persist import CachePersistence
 from repro.service.shard import ShardedResultCache, shard_index
@@ -78,7 +72,6 @@ __all__ = [
     "DeobfuscationService",
     "ResultCache",
     "ServiceConfig",
-    "ServiceHTTPServer",
     "ServiceUnavailable",
     "ShardedResultCache",
     "cache_key",
@@ -86,8 +79,6 @@ __all__ = [
     "normalize_source",
     "render_metrics",
     "run_async_server",
-    "run_server",
     "shard_index",
     "start_async_server",
-    "start_server",
 ]

@@ -37,14 +37,18 @@ aggregation
     trace ids survive), instance log tails interleaved with the
     router's own routing/failover events.
 
-The router is deliberately thin — no pipeline work, no cache — so a
-threaded stdlib server is plenty: handler threads spend their time in
-``urllib`` waits on the instances.  :class:`FleetManager` owns the
-child processes (spawn, port discovery, SIGTERM drain);
-:class:`FleetHTTPServer` can also front *pre-existing* instances
-given their URLs, which is how the tests drive it.
+The router is deliberately thin — no pipeline work, no cache.
+:class:`FleetRouter` adds its routes to the same asyncio edge
+(:class:`repro.service.aserver.HttpEdge`) that serves each instance,
+so it inherits the edge's hostile-input limits; its routes spend
+their time in ``urllib`` waits on the instances, on the edge's thread
+pool.  :class:`FleetManager` owns the child processes (spawn, port
+discovery, SIGTERM drain); :class:`FleetRouter` can also front
+*pre-existing* instances given their URLs, which is how the tests
+drive it.
 """
 
+import asyncio
 import hashlib
 import json
 import os
@@ -56,15 +60,17 @@ import time
 import urllib.error
 import urllib.request
 from bisect import bisect_left
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+from urllib.parse import urlsplit
 
-from repro.batch.pool import (
-    register_fork_unsafe_fd,
-    unregister_fork_unsafe_fd,
-)
 from repro.obs.log import get_logger, log_tail
 from repro.obs.window import merge_window_dicts
+from repro.service.aserver import (
+    HttpEdge,
+    Response,
+    json_response,
+    serve_until_signal,
+)
 from repro.service.cache import normalize_source
 from repro.service.metrics import (
     build_statusz,
@@ -77,6 +83,7 @@ _log = get_logger("service.fleet")
 DEFAULT_REPLICAS = 64
 _PROBE_INTERVAL = 1.0
 _FORWARD_TIMEOUT = 120.0
+_ROUTER_POOL_SIZE = 128
 
 
 def script_routing_key(script: str) -> str:
@@ -259,66 +266,59 @@ class _HealthProber(threading.Thread):
                     self.state.mark_up(instance)
 
 
-class FleetHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    request_queue_size = 128
+class FleetRouter(HttpEdge):
+    """The ``repro fleet`` router: :class:`FleetState` behind the edge.
 
-    def __init__(self, address, state: FleetState, quiet: bool = True):
+    Every route waits on ``urllib`` round trips to the instances, so
+    each runs on the edge pool, whose 128 threads bound the requests
+    the router works on at once.
+    """
+
+    def __init__(
+        self,
+        state: FleetState,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        quiet: bool = True,
+    ):
+        super().__init__(
+            host,
+            port,
+            quiet=quiet,
+            pool_size=_ROUTER_POOL_SIZE,
+            thread_name="repro-fleet",
+        )
         self.state = state
-        self.quiet = quiet
-        super().__init__(address, _RouterHandler)
-        # In-process embeddings (tests) run the router next to service
-        # instances whose forked workers must not inherit this listener.
-        self._listen_fd = self.socket.fileno()
-        register_fork_unsafe_fd(self._listen_fd)
 
-    def server_close(self):
-        unregister_fork_unsafe_fd(self._listen_fd)
-        super().server_close()
+    async def start(self) -> "FleetRouter":
+        await super().start()
+        _log.info(
+            "fleet router started",
+            instances=len(self.state.instances),
+            port=self.server_address[1],
+        )
+        return self
 
+    async def route(self, method, target, headers, body) -> Response:
+        return await self.run_blocking(
+            self._route, method, target, headers, body
+        )
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-
-    @property
-    def state(self) -> FleetState:
-        return self.server.state
-
-    def log_message(self, format, *args):  # noqa: A002 — stdlib signature
-        if not self.server.quiet:
-            sys.stderr.write(
-                "%s - - %s\n" % (self.address_string(), format % args)
-            )
-
-    def _send_json(self, code, payload, headers=None) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._send_bytes(code, body, "application/json", headers)
-
-    def _send_bytes(self, code, body, content_type, headers=None) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
+    def _route(self, method, target, headers, body) -> Response:
+        path = urlsplit(target).path
+        if method == "GET" and path == "/healthz":
+            return self._healthz()
+        if method == "GET" and path == "/metrics":
+            return self._metrics()
+        if method == "GET" and path == "/statusz":
+            return self._statusz()
+        if method == "POST" and path == "/deobfuscate":
+            return self._proxy(target, headers, body)
+        return json_response(404, {"error": f"no such path: {target}"})
 
     # -- aggregation endpoints ----------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 — stdlib naming
-        if self.path == "/healthz":
-            self._healthz()
-        elif self.path == "/metrics":
-            self._metrics()
-        elif self.path.startswith("/statusz"):
-            self._statusz()
-        else:
-            self._send_json(404, {"error": f"no such path: {self.path}"})
-
-    def _healthz(self) -> None:
+    def _healthz(self) -> Response:
         reports = {}
         healthy = 0
         for instance in self.state.instances:
@@ -337,7 +337,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
             if healthy == total
             else ("degraded" if healthy else "down")
         )
-        self._send_json(
+        return json_response(
             200 if healthy else 503,
             {
                 "status": status,
@@ -347,7 +347,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
             },
         )
 
-    def _metrics(self) -> None:
+    def _metrics(self) -> Response:
         snapshots = []
         for instance in self.state.instances:
             snap = _fetch_json(instance + "/metrics.json", timeout=10.0)
@@ -385,13 +385,14 @@ class _RouterHandler(BaseHTTPRequestHandler):
             "# TYPE repro_fleet_unroutable_total counter",
             f"repro_fleet_unroutable_total {counters['rejected']}",
         ]
-        self._send_bytes(
+        return (
             200,
             (text + "\n".join(lines) + "\n").encode("utf-8"),
             "text/plain; version=0.0.4; charset=utf-8",
+            None,
         )
 
-    def _statusz(self) -> None:
+    def _statusz(self) -> Response:
         """Fleet-wide ``/statusz``: the same payload shape as one
         instance, rebuilt from every reachable instance's snapshot —
         counters through ``merge_snapshots``, rolling windows merged
@@ -421,56 +422,35 @@ class _RouterHandler(BaseHTTPRequestHandler):
             instances=len(snapshots),
         )
         payload["router"] = self.state.counters()
-        self._send_json(200, payload)
+        return json_response(200, payload)
 
     # -- routing proxy ------------------------------------------------------
 
-    def do_POST(self) -> None:  # noqa: N802 — stdlib naming
-        if not self.path.startswith("/deobfuscate"):
-            self._send_json(404, {"error": f"no such path: {self.path}"})
-            return
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
-        if length < 0:
-            self._send_json(400, {"error": "bad or missing Content-Length"})
-            return
-        body = self.rfile.read(length)
+    def _proxy(self, target, headers, body) -> Response:
         try:
             payload = json.loads(body or b"")
-            script = payload["script"]
-            assert isinstance(script, str)
-        except (ValueError, KeyError, AssertionError, TypeError):
-            self._send_json(
+        except ValueError:
+            payload = None
+        if not isinstance(payload, dict) or not isinstance(
+            payload.get("script"), str
+        ):
+            return json_response(
                 400, {"error": "expected {\"script\": \"...\"}"}
             )
-            return
-        key = script_routing_key(script)
+        key = script_routing_key(payload["script"])
+        traceparent = headers.get("traceparent")
 
-        attempts = 0
-        while attempts < 2:
-            attempts += 1
+        for attempt in (1, 2):
             picked = self.state.pick(key)
             if picked is None:
-                self.state.count_rejected()
-                _log.error(
-                    "no healthy instance; rejecting request",
-                    key=key[:16],
-                )
-                self._send_json(
-                    503,
-                    {"error": "no healthy instance"},
-                    headers={"Retry-After": "5"},
-                )
-                return
+                break
             instance, fallback = picked
-            forwarded = self._forward(instance, body)
+            forwarded = _forward(instance + target, body, traceparent)
             if forwarded is None:
                 _log.warning(
                     "forward failed; marking instance down",
                     instance=instance,
-                    attempt=attempts,
+                    attempt=attempt,
                     fallback=fallback,
                 )
                 self.state.mark_down(instance)
@@ -482,58 +462,47 @@ class _RouterHandler(BaseHTTPRequestHandler):
                     key=key[:16],
                 )
             self.state.count_routed(instance, fallback)
-            code, headers, response_body = forwarded
+            code, response_headers, response_body = forwarded
             passthrough = {
                 name: value
-                for name, value in headers
+                for name, value in response_headers
                 if name.lower() in ("x-trace-id", "retry-after")
             }
             passthrough["X-Repro-Instance"] = instance
             passthrough["X-Repro-Routing"] = (
                 "fallback" if fallback else "primary"
             )
-            self._send_bytes(
-                code, response_body, "application/json", passthrough
-            )
-            return
+            return code, response_body, "application/json", passthrough
         self.state.count_rejected()
-        _log.error(
-            "no healthy instance; rejecting request", key=key[:16]
-        )
-        self._send_json(
-            503,
-            {"error": "no healthy instance"},
-            headers={"Retry-After": "5"},
+        _log.error("no healthy instance; rejecting request", key=key[:16])
+        return json_response(
+            503, {"error": "no healthy instance"}, {"Retry-After": "5"}
         )
 
-    def _forward(
-        self, instance: str, body: bytes
-    ) -> Optional[Tuple[int, List[Tuple[str, str]], bytes]]:
-        """Proxy the request to *instance*; None on transport failure."""
-        request = urllib.request.Request(
-            instance + self.path,
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        traceparent = self.headers.get("traceparent")
-        if traceparent:
-            request.add_header("traceparent", traceparent)
-        try:
-            with urllib.request.urlopen(
-                request, timeout=_FORWARD_TIMEOUT
-            ) as response:
-                return (
-                    response.status,
-                    response.getheaders(),
-                    response.read(),
-                )
-        except urllib.error.HTTPError as error:
-            # An HTTP status from the instance (429, 400, 500…) is an
-            # *answer*, not a dead instance — pass it through.
-            return error.code, error.headers.items(), error.read()
-        except (OSError, urllib.error.URLError):
-            return None
+
+def _forward(
+    url: str, body: bytes, traceparent: Optional[str]
+) -> Optional[Tuple[int, List[Tuple[str, str]], bytes]]:
+    """POST *body* to an instance *url*; None on transport failure."""
+    request = urllib.request.Request(
+        url,
+        data=body,
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    if traceparent:
+        request.add_header("traceparent", traceparent)
+    try:
+        with urllib.request.urlopen(
+            request, timeout=_FORWARD_TIMEOUT
+        ) as response:
+            return response.status, response.getheaders(), response.read()
+    except urllib.error.HTTPError as error:
+        # An HTTP status from the instance (429, 400, 500…) is an
+        # *answer*, not a dead instance — pass it through.
+        return error.code, error.headers.items(), error.read()
+    except (OSError, urllib.error.URLError):
+        return None
 
 
 # --------------------------------------------------------------------------
@@ -684,53 +653,30 @@ def run_fleet(
         manager.stop(timeout=5.0)
         return 1
     state = FleetState(urls, replicas=replicas)
+    router = FleetRouter(state, host=host, port=port, quiet=quiet)
+    prober = _HealthProber(state)
+    prober.start()
+
+    async def route_until_signal() -> None:
+        await serve_until_signal(
+            router,
+            port_file,
+            "repro fleet: routing http://{host}:{port} -> "
+            f"{len(urls)} instance(s): {', '.join(urls)}",
+        )
+        print(
+            "repro fleet: draining instances…", file=sys.stderr, flush=True
+        )
+        await router.drain_and_stop()
+
     try:
-        server = FleetHTTPServer((host, port), state, quiet=quiet)
+        asyncio.run(route_until_signal())
     except OSError as exc:
         print(f"error: cannot bind {host}:{port}: {exc}", file=sys.stderr)
         manager.stop(timeout=10.0)
         return 1
-    bound_host, bound_port = server.server_address[:2]
-    if port_file:
-        with open(port_file, "w", encoding="utf-8") as handle:
-            handle.write(str(bound_port))
-    print(
-        f"repro fleet: routing http://{bound_host}:{bound_port} -> "
-        f"{len(urls)} instance(s): {', '.join(urls)}",
-        file=sys.stderr,
-        flush=True,
-    )
-    _log.info(
-        "fleet router started",
-        instances=len(urls),
-        port=bound_port,
-    )
-    prober = _HealthProber(state)
-    prober.start()
-    thread = threading.Thread(
-        target=server.serve_forever, name="repro-fleet-http", daemon=True
-    )
-    thread.start()
-
-    stop = threading.Event()
-
-    def _request_shutdown(signum, frame):
-        stop.set()
-
-    previous = {}
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        previous[signum] = signal.signal(signum, _request_shutdown)
-    try:
-        stop.wait()
     finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-
-    print("repro fleet: draining instances…", file=sys.stderr, flush=True)
-    prober.stop_event.set()
-    server.shutdown()
-    thread.join(timeout=10.0)
-    server.server_close()
+        prober.stop_event.set()
     clean = manager.stop()
     print(
         "repro fleet: drained cleanly"

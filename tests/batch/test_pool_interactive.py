@@ -4,6 +4,7 @@ warm across many requests (``run()`` covers the one-shot batch path).
 """
 
 import os
+import time
 
 import pytest
 
@@ -172,6 +173,18 @@ class TestLifecycle:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    def test_close_stops_idle_workers_gracefully(self):
+        pool = BatchPool(jobs=2)
+        pool.prestart()
+        procs = [worker.proc for worker in pool._workers.values()]
+        assert len(procs) == 2
+        started = time.monotonic()
+        pool.close()
+        # Idle workers take the stop sentinel and exit on their own;
+        # nobody waits out the join deadline or gets SIGKILLed.
+        assert time.monotonic() - started < 0.5
+        assert [proc.exitcode for proc in procs] == [0, 0]
+
     def test_run_generator_still_works_after_interactive_use(self, tmp_path):
         pool = BatchPool(jobs=2)
         path = write_sample(tmp_path, "a.ps1", "write-host a")
@@ -230,7 +243,9 @@ class TestResize:
                 tmp_path, "slow.ps1", f"# {SLEEP_MARKER}\nwrite-host s"
             )
             pool.submit(Task(path=slow))
-            pool.collect(timeout=0.2)  # let it dispatch
+            # One dispatch pass: a 0.2 s wait could also collect the
+            # 0.2 s task and leave no busy worker to spare.
+            pool.collect(timeout=0)
             busy = [
                 worker_id
                 for worker_id, state in pool._workers.items()

@@ -104,7 +104,7 @@ class TestTaskPayload:
 
 class TestServiceBody:
     def test_shape_request_accepts_language(self):
-        from repro.service.http import shape_request
+        from repro.service.aserver import shape_request
 
         script, options, verify, timeout = shape_request(
             {"script": "console.log('x');", "language": "JavaScript"}
@@ -113,7 +113,7 @@ class TestServiceBody:
 
     def test_shape_request_rejects_unknown_language(self):
         from repro.frontend import frontend_names
-        from repro.service.http import RequestError, shape_request
+        from repro.service.aserver import RequestError, shape_request
 
         with pytest.raises(RequestError) as exc:
             shape_request({"script": "x", "language": "cobol"})
@@ -122,7 +122,7 @@ class TestServiceBody:
         assert payload["languages"] == frontend_names()
 
     def test_shape_request_rejects_non_string_language(self):
-        from repro.service.http import RequestError, shape_request
+        from repro.service.aserver import RequestError, shape_request
 
         with pytest.raises(RequestError):
             shape_request({"script": "x", "language": 7})

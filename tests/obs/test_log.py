@@ -8,10 +8,14 @@ regenerate with ``python tests/obs/regen_golden.py``.
 """
 
 import json
+import multiprocessing
 import os
+import threading
+import time
 
 import pytest
 
+import repro.obs.log as log_module
 from repro.obs.log import (
     LOG_SCHEMA_VERSION,
     LogEvent,
@@ -215,6 +219,10 @@ class TestTraceCorrelation:
         assert event.get("fields", {}).get("trace_id") is None
 
 
+def _log_from_child():
+    get_logger("child").info("from the child")
+
+
 class TestSink:
     def test_sink_writes_jsonl(self, tmp_path):
         path = tmp_path / "ev.jsonl"
@@ -244,6 +252,37 @@ class TestSink:
         for name in (str(path), str(path) + ".1"):
             for event in iter_events(name):
                 assert event.message == big
+
+    def test_fork_while_another_thread_holds_the_sink(self, tmp_path):
+        # A forked worker must not inherit the sink lock from a parent
+        # thread caught mid-write, or its first event blocks forever.
+        path = tmp_path / "ev.jsonl"
+        configure_logging(level="debug", path=str(path))
+        lock = log_module._STATE.sink._lock
+        holding = threading.Event()
+
+        def write_slowly():
+            with lock:
+                holding.set()
+                time.sleep(0.3)
+
+        writer = threading.Thread(target=write_slowly)
+        writer.start()
+        assert holding.wait(5.0)
+        child = multiprocessing.get_context("fork").Process(
+            target=_log_from_child
+        )
+        child.start()
+        child.join(10.0)
+        writer.join(5.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+        reset_logging()
+        assert [e.message for e in iter_events(str(path))] == [
+            "from the child"
+        ]
 
     def test_iter_events_skips_garbage_lines(self, tmp_path):
         path = tmp_path / "ev.jsonl"

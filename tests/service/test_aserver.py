@@ -1,60 +1,32 @@
-"""Tests for the asyncio front end (:mod:`repro.service.aserver`).
+"""Tests for the asyncio edge (:mod:`repro.service.aserver`).
 
-The contract under test is dialect parity: a client must not be able
-to tell the asyncio edge from the threaded one — same routes, same
-JSON shapes, same status codes, same drain semantics — plus the two
-things only this edge does: bounded edge admission (429 before the
-dispatch executor saturates) and keep-alive connection reuse.
+The routes must answer over HTTP exactly what the in-process pipeline
+and service answer; on top of that come the things only the edge
+does: keep-alive connection reuse, bounded edge admission (429 before
+the pool saturates), one pool hop per ``POST /deobfuscate`` and none
+per ``GET``, and the hostile-input limits, which both edges — the
+service's and the fleet router's — must enforce.
 """
 
 import http.client
 import json
-import threading
+import socket
+import time
 
 import pytest
 
-from repro.service import (
-    DeobfuscationService,
-    ServiceConfig,
-    start_async_server,
-)
+from repro.service import DeobfuscationService, ServiceConfig
+from repro.service.aserver import start_async_server, start_edge
 from repro.service.core import jittered_retry_after
-from tests.service.helpers import COUNTER_ENV, SLEEP_MARKER
+from repro.service.fleet import FleetRouter, FleetState
 from tests.service.test_service import get, metric_value, post
-
-COUNTING = "tests.service.helpers:counting_worker"
-
-
-@pytest.fixture
-def aserved():
-    """A running service behind the asyncio edge; yields a factory."""
-    handles = []
-
-    def make(**overrides):
-        server_options = {
-            name: overrides.pop(name)
-            for name in ("max_pending", "idle_timeout")
-            if name in overrides
-        }
-        defaults = dict(jobs=2, timeout=10.0, kill_grace=0.3,
-                        queue_limit=64)
-        defaults.update(overrides)
-        service = DeobfuscationService(ServiceConfig(**defaults))
-        handle = start_async_server(service, **server_options)
-        handles.append(handle)
-        host, port = handle.server_address
-        return service, handle, f"http://{host}:{port}"
-
-    yield make
-    for handle in handles:
-        handle.shutdown(drain=True)
 
 
 class TestRouteParity:
-    def test_deobfuscate_matches_direct_pipeline(self, aserved):
+    def test_deobfuscate_matches_direct_pipeline(self, served):
         from repro import Deobfuscator
 
-        _service, _handle, url = aserved()
+        _service, url = served()
         script = "$a = 'wri'+'te-host'; I`E`X ($a + ' same')"
         code, body, headers = post(url, {"script": script})
         assert code == 200
@@ -63,17 +35,17 @@ class TestRouteParity:
         assert body["cache_hit"] is False
         assert headers.get("X-Trace-Id") == body["trace_id"]
 
-    def test_cache_hit_on_resubmission(self, aserved):
-        _service, _handle, url = aserved()
+    def test_cache_hit_on_resubmission(self, served):
+        _service, url = served()
         _code, first, _h = post(url, {"script": "write-host again"})
         _code, second, _h = post(url, {"script": "write-host again"})
         assert second["cache_hit"] is True
         assert second["cache_key"] == first["cache_key"]
 
-    def test_verify_via_query_and_body(self, aserved):
+    def test_verify_via_query_and_body(self, served):
         import urllib.request
 
-        _service, _handle, url = aserved()
+        _service, url = served()
 
         def post_query(payload):
             request = urllib.request.Request(
@@ -92,20 +64,8 @@ class TestRouteParity:
         code, body = post_query({"script": "write-host v2", "verify": False})
         assert "verify" not in body
 
-    def test_bad_requests_rejected(self, aserved):
-        _service, _handle, url = aserved()
-        code, body, _h = post(url, {"no_script": True})
-        assert code == 400
-        code, body, _h = post(url, {"script": "x", "timeout": "soon"})
-        assert code == 400
-        code, body, _h = post(url, {"script": "x", "policy": "no-such"})
-        assert code == 400
-        assert "unknown policy" in body["error"]
-        status, _body = get(url, "/nope")
-        assert status == 404
-
-    def test_raw_garbage_body_is_a_400(self, aserved):
-        _service, _handle, url = aserved()
+    def test_raw_garbage_body_is_a_400(self, served):
+        _service, url = served()
         host, port = url.replace("http://", "").split(":")
         conn = http.client.HTTPConnection(host, int(port), timeout=10.0)
         conn.request(
@@ -117,10 +77,10 @@ class TestRouteParity:
         assert b"not valid JSON" in response.read()
         conn.close()
 
-    def test_healthz_reports_fleet_readiness_fields(self, aserved, tmp_path):
+    def test_healthz_reports_fleet_readiness_fields(self, served, tmp_path):
         from repro import package_version
 
-        _service, _handle, url = aserved(cache_dir=str(tmp_path / "cache"))
+        _service, url = served(cache_dir=str(tmp_path / "cache"))
         status, body = get(url, "/healthz")
         health = json.loads(body)
         assert status == 200
@@ -132,8 +92,8 @@ class TestRouteParity:
         assert health["warm_start"]["enabled"] is True
         assert health["warm_start"]["warm_start"] is False
 
-    def test_metrics_text_and_json(self, aserved):
-        _service, _handle, url = aserved()
+    def test_metrics_text_and_json(self, served):
+        _service, url = served()
         post(url, {"script": "write-host m"})
         status, text = get(url, "/metrics")
         assert status == 200
@@ -147,8 +107,8 @@ class TestRouteParity:
 
 
 class TestKeepAlive:
-    def test_connection_reuse_across_requests(self, aserved):
-        _service, _handle, url = aserved()
+    def test_connection_reuse_across_requests(self, served):
+        _service, url = served()
         host, port = url.replace("http://", "").split(":")
         conn = http.client.HTTPConnection(host, int(port), timeout=10.0)
         for index in range(3):
@@ -165,8 +125,9 @@ class TestKeepAlive:
 
 
 class TestEdgeAdmission:
-    def test_edge_429_when_pending_saturated(self, aserved):
-        _service, handle, url = aserved(max_pending=4)
+    def test_edge_429_when_pending_saturated(self, served):
+        _service, url = served(max_pending=4)
+        (handle,) = served.handles
         # Deterministic saturation: claim every slot by hand, then ask.
         handle.server._pending = handle.server.max_pending
         try:
@@ -179,68 +140,33 @@ class TestEdgeAdmission:
         assert 1 <= retry_after <= 2
         assert body["retry_after"] == retry_after
 
-    def test_queue_overflow_is_jittered_429(self, aserved):
-        _service, _handle, url = aserved(
-            worker=COUNTING, jobs=1, queue_limit=1, timeout=5.0
-        )
-        responses = []
-        barrier = threading.Barrier(6)
+    def test_one_pool_hop_per_post_and_none_per_get(
+        self, served, monkeypatch
+    ):
+        _service, url = served()
+        (handle,) = served.handles
+        pool = handle.server._executor
+        hops = []
+        submit = pool.submit
 
-        def one(index):
-            barrier.wait(timeout=10.0)
-            responses.append(
-                post(url, {"script": f"# {SLEEP_MARKER}\nwrite-host {index}"})
-            )
+        def counting_submit(*args, **kwargs):
+            hops.append(args[0])
+            return submit(*args, **kwargs)
 
-        threads = [
-            threading.Thread(target=one, args=(index,))
-            for index in range(6)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-
-        codes = sorted(code for code, _b, _h in responses)
-        assert 429 in codes, codes
-        for code, body, headers in responses:
-            if code != 429:
-                continue
-            assert "queue full" in body["error"]
-            # ServiceUnavailable default retry_after=1.0, jittered over
-            # [1, 2].
-            assert 1 <= int(headers["Retry-After"]) <= 2
-
-
-class TestSingleFlight:
-    def test_concurrent_duplicates_execute_once(self, aserved, tmp_path,
-                                                monkeypatch):
-        counter = tmp_path / "executions.log"
-        monkeypatch.setenv(COUNTER_ENV, str(counter))
-        _service, _handle, url = aserved(worker=COUNTING)
-
-        script = f"# {SLEEP_MARKER}\nwrite-host slow"
-        outcomes = []
-        barrier = threading.Barrier(4)
-
-        def one():
-            barrier.wait(timeout=10.0)
-            outcomes.append(post(url, {"script": script}))
-
-        threads = [threading.Thread(target=one) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-
-        assert len(counter.read_text().splitlines()) == 1
-        assert all(code == 200 for code, _b, _h in outcomes)
-        assert sum(1 for _c, b, _h in outcomes if b["coalesced"]) == 3
+        monkeypatch.setattr(pool, "submit", counting_submit)
+        for path in ("/healthz", "/metrics", "/metrics.json", "/statusz"):
+            status, _body = get(url, path)
+            assert status == 200
+        assert hops == []
+        code, _body, _h = post(url, {"script": "write-host hop"})
+        assert code == 200
+        assert len(hops) == 1
 
 
 class TestDrain:
-    def test_drain_rejects_then_stops_clean(self, aserved):
-        service, handle, url = aserved()
+    def test_drain_rejects_then_stops_clean(self, served):
+        service, url = served()
+        (handle,) = served.handles
         code, _body, _h = post(url, {"script": "write-host pre"})
         assert code == 200
         service.begin_drain()
@@ -263,3 +189,102 @@ class TestRetryAfterJitter:
         assert all(
             1 <= jittered_retry_after(0.0) <= 2 for _ in range(50)
         )
+
+
+def _dead_url() -> str:
+    """A localhost URL nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return "http://127.0.0.1:%d" % sock.getsockname()[1]
+
+
+@pytest.fixture(params=["service", "router"])
+def edge(request):
+    """Each edge in turn: a service, and a fleet router (whose limits
+    trip before any routing, so it needs no live instance)."""
+    if request.param == "service":
+        service = DeobfuscationService(ServiceConfig(jobs=1, queue_limit=4))
+        handle = start_async_server(service)
+    else:
+        handle = start_edge(FleetRouter(FleetState([_dead_url()])))
+    yield handle
+    handle.shutdown(drain=True)
+
+
+def exchange(handle, raw: bytes, timeout: float = 5.0) -> bytes:
+    """Send *raw*; return all the edge sends back until it closes."""
+    received = []
+    with socket.create_connection(
+        handle.server_address, timeout=timeout
+    ) as sock:
+        sock.sendall(raw)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            received.append(chunk)
+    return b"".join(received)
+
+
+class TestInputLimits:
+    def test_idle_connection_closed_after_idle_timeout(self, edge):
+        edge.server.idle_timeout = 0.3
+        started = time.monotonic()
+        # The headers promise a body that never comes.
+        reply = exchange(
+            edge,
+            b"POST /deobfuscate HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 100\r\n\r\n",
+        )
+        assert reply == b""
+        assert time.monotonic() - started < 3.0
+
+    def test_oversized_header_section_is_431(self, edge):
+        # 100 headers of 1 KiB: every line is short, the section is not.
+        headers = b"".join(
+            b"X-Pad-%d: %s\r\n" % (index, b"a" * 1024)
+            for index in range(100)
+        )
+        reply = exchange(
+            edge, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        )
+        assert reply.startswith(b"HTTP/1.1 431 ")
+        assert b"header section too large" in reply
+
+    def test_oversized_body_is_400_without_reading_it(self, edge):
+        started = time.monotonic()
+        reply = exchange(
+            edge,
+            b"POST /deobfuscate HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 20000000\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Content-Length" in reply
+        # Answered at once, not after idle_timeout: nothing waited for
+        # the 20 MB the headers announced.
+        assert time.monotonic() - started < edge.server.idle_timeout
+
+    def test_malformed_request_line_is_400(self, edge):
+        reply = exchange(edge, b"NONSENSE\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"malformed request line" in reply
+
+    def test_expect_continue_is_answered_before_the_body(self, edge):
+        body = json.dumps({"script": "write-host hi"}).encode()
+        with socket.create_connection(
+            edge.server_address, timeout=10.0
+        ) as sock:
+            sock.sendall(
+                b"POST /deobfuscate HTTP/1.1\r\nHost: x\r\n"
+                b"Connection: close\r\nExpect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            interim = sock.recv(64)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            final = sock.makefile("rb").readline()
+        # The service answers; the router finds no live instance.
+        assert final.split()[1] in (b"200", b"503")

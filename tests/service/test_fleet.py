@@ -6,23 +6,24 @@ coordination; removing an instance moves *only* that instance's keys
 (consistent hashing's whole point); and the rendezvous fallback is
 deterministic and spreads a dead instance's keys across the
 survivors.  The proxy tests drive a real two-instance fleet in
-process — asyncio edges over real worker pools — through
-:class:`FleetHTTPServer`.
+process — asyncio edges over real worker pools — through a
+:class:`FleetRouter` on the same edge.
 """
 
 import json
-import threading
 import urllib.request
 
 import pytest
 
+from repro.obs.trace import TraceContext
 from repro.service import (
     DeobfuscationService,
     ServiceConfig,
     start_async_server,
 )
+from repro.service.aserver import start_edge
 from repro.service.fleet import (
-    FleetHTTPServer,
+    FleetRouter,
     FleetState,
     HashRing,
     script_routing_key,
@@ -155,14 +156,10 @@ def fleet():
         for host, port in (h.server_address for h in handles)
     ]
     state = FleetState(urls)
-    router = FleetHTTPServer(("127.0.0.1", 0), state)
-    thread = threading.Thread(target=router.serve_forever, daemon=True)
-    thread.start()
-    host, port = router.server_address[:2]
+    router = start_edge(FleetRouter(state))
+    host, port = router.server_address
     yield state, f"http://{host}:{port}", handles
-    router.shutdown()
-    thread.join(timeout=5.0)
-    router.server_close()
+    router.shutdown(drain=True)
     for handle in handles:
         handle.shutdown(drain=False)
         handle.server.service.close()
@@ -200,6 +197,38 @@ class TestRouterProxy:
         )
         assert code == 400
         assert "unknown policy" in body["error"]
+
+    def test_verify_query_reaches_the_instance(self, fleet):
+        _state, url, _handles = fleet
+        request = urllib.request.Request(
+            url + "/deobfuscate?verify=1",
+            data=json.dumps({"script": "write-host v"}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=30.0) as response:
+            assert response.status == 200
+            body = json.loads(response.read())
+        assert body["verify"]["verdict"] == "equivalent"
+
+    def test_traceparent_comes_back_as_x_trace_id(self, fleet):
+        _state, url, _handles = fleet
+        caller = TraceContext.new()
+        request = urllib.request.Request(
+            url + "/deobfuscate",
+            data=json.dumps({"script": "write-host t"}).encode("utf-8"),
+            headers={
+                "Content-Type": "application/json",
+                "traceparent": caller.to_traceparent(),
+            },
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=30.0) as response:
+            assert response.status == 200
+            assert response.headers["X-Trace-Id"] == caller.trace_id
+            assert json.loads(response.read())["trace_id"] == (
+                caller.trace_id
+            )
 
     def test_healthz_aggregates_instances(self, fleet):
         _state, url, _handles = fleet

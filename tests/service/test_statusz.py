@@ -1,9 +1,9 @@
 """Tests for the live ``/statusz`` status page and its plumbing.
 
-Covers both front ends (threaded and asyncio), the trace-correlation
-chain the page is built for — a slow request's trace_id must be
-findable in the rolling-window exemplar, the event-log tail, and the
-``--log-file`` JSONL — plus the fleet-merge pieces: the labeled
+Covers the page on the asyncio edge, the trace-correlation chain it
+is built for — a slow request's trace_id must be findable in the
+rolling-window exemplar, the event-log tail, and the ``--log-file``
+JSONL — plus the fleet-merge pieces: the labeled
 request-duration histograms ``merge_snapshots`` folds per
 language|policy, and the journal-corruption counter surfaced through
 ``/healthz`` and ``repro_service_cache_journal_dropped_total``.
@@ -20,12 +20,7 @@ from repro.obs.log import (
     iter_events,
     reset_logging,
 )
-from repro.service import (
-    DeobfuscationService,
-    ServiceConfig,
-    start_async_server,
-    start_server,
-)
+from repro.service import DeobfuscationService, ServiceConfig
 from repro.service.metrics import (
     STATUSZ_SCHEMA_VERSION,
     merge_snapshots,
@@ -45,30 +40,8 @@ def _logging_state():
     reset_logging()
 
 
-@pytest.fixture
-def served():
-    """A threaded-front-end service; yields ``make(**cfg) -> url``."""
-    servers = []
-
-    def make(**overrides):
-        defaults = dict(jobs=1, timeout=15.0, queue_limit=16)
-        defaults.update(overrides)
-        service = DeobfuscationService(ServiceConfig(**defaults))
-        server, thread = start_server(service)
-        servers.append((service, server, thread))
-        host, port = server.server_address[:2]
-        return service, f"http://{host}:{port}"
-
-    yield make
-    for service, server, thread in servers:
-        server.shutdown()
-        thread.join(timeout=5.0)
-        server.server_close()
-        service.close()
-
-
-class TestStatuszThreaded:
-    def test_statusz_reports_windows_and_correlates_traces(self, served):
+class TestStatuszAsync:
+    def test_statusz_on_the_asyncio_front_end(self, served):
         configure_logging(level="debug")
         _service, url = served()
         code, body, _headers = post(url, {"script": "write-host s1"})
@@ -113,32 +86,6 @@ class TestStatuszThreaded:
         assert status == 200
         assert payload["log_tail"] == []
         assert payload["windows"]["1m"]["requests"] == 1
-
-
-class TestStatuszAsync:
-    def test_statusz_on_the_asyncio_front_end(self):
-        configure_logging(level="debug")
-        service = DeobfuscationService(
-            ServiceConfig(jobs=1, timeout=15.0, queue_limit=16)
-        )
-        handle = start_async_server(service)
-        host, port = handle.server_address
-        url = f"http://{host}:{port}"
-        try:
-            code, body, _headers = post(url, {"script": "write-host a1"})
-            assert code == 200
-            status, text = get(url, "/statusz")
-            payload = json.loads(text)
-            assert status == 200
-            assert payload["schema_version"] == STATUSZ_SCHEMA_VERSION
-            assert payload["windows"]["1m"]["requests"] == 1
-            assert (
-                payload["windows"]["1m"]["exemplar"]["trace_id"]
-                == body["trace_id"]
-            )
-        finally:
-            handle.shutdown(drain=False)
-            service.close()
 
 
 class TestSlowRequestCorrelation:

@@ -21,7 +21,7 @@ from repro.obs.export import (
 )
 from repro.obs.hist import Histogram
 from repro.obs.trace import TraceContext
-from repro.service import DeobfuscationService, ServiceConfig, start_server
+from repro.service import DeobfuscationService, ServiceConfig
 from repro.service.metrics import render_metrics
 
 SCRIPT = "I`E`X ('wri'+'te-host hi')\n$a = 'mal'+'ware'\n"
@@ -191,40 +191,20 @@ class TestHttpTraceHeaders:
                 error.headers
             )
 
-    def test_response_carries_x_trace_id(self, tmp_path):
-        service = make_service(tmp_path)
-        server, thread = start_server(service)
-        host, port = server.server_address[:2]
-        url = f"http://{host}:{port}"
-        try:
-            status, record, headers = self._post(
-                url, {"script": SCRIPT}
-            )
-            assert status == 200
-            assert headers["X-Trace-Id"] == record["trace_id"]
-        finally:
-            server.shutdown()
-            thread.join(timeout=5.0)
-            server.server_close()
-            service.close()
+    def test_response_carries_x_trace_id(self, served, tmp_path):
+        _service, url = served(trace_path=str(tmp_path / "trace.jsonl"))
+        status, record, headers = self._post(url, {"script": SCRIPT})
+        assert status == 200
+        assert headers["X-Trace-Id"] == record["trace_id"]
 
-    def test_traceparent_header_is_honoured(self, tmp_path):
-        service = make_service(tmp_path)
-        server, thread = start_server(service)
-        host, port = server.server_address[:2]
-        url = f"http://{host}:{port}"
+    def test_traceparent_header_is_honoured(self, served, tmp_path):
+        _service, url = served(trace_path=str(tmp_path / "trace.jsonl"))
         caller = TraceContext.new()
-        try:
-            status, record, headers = self._post(
-                url,
-                {"script": "Write-Host hi\n"},
-                headers={"traceparent": caller.to_traceparent()},
-            )
-            assert status == 200
-            assert record["trace_id"] == caller.trace_id
-            assert headers["X-Trace-Id"] == caller.trace_id
-        finally:
-            server.shutdown()
-            thread.join(timeout=5.0)
-            server.server_close()
-            service.close()
+        status, record, headers = self._post(
+            url,
+            {"script": "Write-Host hi\n"},
+            headers={"traceparent": caller.to_traceparent()},
+        )
+        assert status == 200
+        assert record["trace_id"] == caller.trace_id
+        assert headers["X-Trace-Id"] == caller.trace_id

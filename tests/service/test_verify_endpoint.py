@@ -1,12 +1,12 @@
 """``POST /deobfuscate?verify=1`` and the verdict metrics."""
 
-from tests.service.test_service import get, metric_value, post, served  # noqa: F401
+from tests.service.test_service import get, metric_value, post
 
 OBFUSCATED = "I`E`X ('wri'+'te-host hi')"
 
 
 class TestVerifyOverHTTP:
-    def test_query_parameter_attaches_verdict(self, served):  # noqa: F811
+    def test_query_parameter_attaches_verdict(self, served):
         service, url = served(jobs=1)
         import json
         import urllib.request
@@ -23,7 +23,7 @@ class TestVerifyOverHTTP:
         assert record["verify"]["verdict"] == "equivalent"
         assert record["status"] == "ok"
 
-    def test_body_flag_attaches_verdict(self, served):  # noqa: F811
+    def test_body_flag_attaches_verdict(self, served):
         service, url = served(jobs=1)
         status, record, _ = post(
             url, {"script": OBFUSCATED, "verify": True}
@@ -31,13 +31,13 @@ class TestVerifyOverHTTP:
         assert status == 200
         assert record["verify"]["verdict"] == "equivalent"
 
-    def test_unverified_requests_carry_no_verdict(self, served):  # noqa: F811
+    def test_unverified_requests_carry_no_verdict(self, served):
         service, url = served(jobs=1)
         status, record, _ = post(url, {"script": OBFUSCATED})
         assert status == 200
         assert "verify" not in record
 
-    def test_metrics_count_verdicts(self, served):  # noqa: F811
+    def test_metrics_count_verdicts(self, served):
         service, url = served(jobs=1)
         post(url, {"script": OBFUSCATED, "verify": True})
         status, metrics = get(url, "/metrics")
@@ -47,7 +47,7 @@ class TestVerifyOverHTTP:
             'repro_service_verify_verdicts_total{verdict="equivalent"}',
         ) == 1.0
 
-    def test_verify_and_plain_results_do_not_mix(self, served):  # noqa: F811
+    def test_verify_and_plain_results_do_not_mix(self, served):
         service, url = served(jobs=1)
         _, verified, _ = post(url, {"script": OBFUSCATED, "verify": True})
         _, plain, _ = post(url, {"script": OBFUSCATED})

@@ -253,45 +253,35 @@ class TestLogsCommand:
         assert "cannot read" in err
 
 
+class TestServeFlags:
+    @pytest.mark.parametrize("command", ["serve", "fleet"])
+    def test_legacy_threaded_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--legacy-threaded"])
+        assert excinfo.value.code == 2
+        assert "--legacy-threaded" in capsys.readouterr().err
+
+
 class TestTopCommand:
-    def test_once_renders_a_live_service(self, capsys):
+    def test_once_renders_a_live_service(self, served, capsys):
         import json as _json
         import urllib.request
 
-        from repro.service import (
-            DeobfuscationService,
-            ServiceConfig,
-            start_server,
+        _service, url = served()
+        body = _json.dumps({"script": "write-host top"}).encode()
+        request = urllib.request.Request(
+            url + "/deobfuscate", data=body,
+            headers={"Content-Type": "application/json"},
         )
+        with urllib.request.urlopen(request, timeout=15.0) as resp:
+            trace = _json.loads(resp.read())["trace_id"]
 
-        service = DeobfuscationService(
-            ServiceConfig(jobs=1, timeout=15.0, queue_limit=8)
-        )
-        server, thread = start_server(service)
-        host, port = server.server_address[:2]
-        url = f"http://{host}:{port}"
-        try:
-            body = _json.dumps({"script": "write-host top"}).encode()
-            request = urllib.request.Request(
-                url + "/deobfuscate", data=body,
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(request, timeout=15.0) as resp:
-                trace = _json.loads(resp.read())["trace_id"]
-
-            code, out, _err = run_cli(
-                ["top", "--url", url, "--once"], capsys
-            )
-            assert code == 0
-            assert f"repro top — {url}" in out
-            assert "window" in out and "p95ms" in out
-            # The request we just made shows up as the 1m exemplar.
-            assert trace in out
-        finally:
-            server.shutdown()
-            thread.join(timeout=5.0)
-            server.server_close()
-            service.close()
+        code, out, _err = run_cli(["top", "--url", url, "--once"], capsys)
+        assert code == 0
+        assert f"repro top — {url}" in out
+        assert "window" in out and "p95ms" in out
+        # The request we just made shows up as the 1m exemplar.
+        assert trace in out
 
     def test_once_unreachable_is_exit_1(self, capsys):
         code, _out, err = run_cli(

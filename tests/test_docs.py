@@ -25,12 +25,28 @@ def _cli_doc_section(doc: str, command: str) -> str:
     return section[: follow.start()] if follow else section
 
 
-def registered_subcommands():
-    parser = build_parser()
+def _subparsers(parser):
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return sorted(action.choices)
+            return action.choices
     raise AssertionError("no subparsers registered")
+
+
+def registered_subcommands():
+    return sorted(_subparsers(build_parser()))
+
+
+def _long_options(parser):
+    return {
+        option
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+
+
+def _named_options(text):
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
 
 
 def test_cli_doc_exists():
@@ -48,6 +64,30 @@ def test_every_subcommand_documented():
     assert not missing, (
         f"docs/cli.md lacks a '## `repro <cmd>`' section for: {missing}"
     )
+
+
+def test_documented_long_options_match_the_parser():
+    """docs/cli.md names exactly the long options the parser accepts —
+    a removed flag cannot linger in the docs — and each subcommand's
+    section names all of its own."""
+    with open(CLI_DOC, "r", encoding="utf-8") as handle:
+        doc = handle.read()
+    parser = build_parser()
+    subcommands = _subparsers(parser)
+    accepted = _long_options(parser).union(
+        *(_long_options(sub) for sub in subcommands.values())
+    )
+    documented = _named_options(doc)
+    assert documented == accepted, (
+        f"documented only: {sorted(documented - accepted)}; "
+        f"undocumented: {sorted(accepted - documented)}"
+    )
+    for command, sub in subcommands.items():
+        section = _cli_doc_section(doc, command)
+        missing = sorted(_long_options(sub) - _named_options(section))
+        assert not missing, (
+            f"docs/cli.md section for 'repro {command}' omits {missing}"
+        )
 
 
 def test_module_docstring_mentions_every_subcommand():
