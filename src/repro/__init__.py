@@ -14,8 +14,8 @@ paper compares against (:mod:`repro.baselines`), obfuscation scoring
 the sandbox and compares their behaviour-event logs.
 
 Pipeline knobs travel as one typed record, :class:`PipelineOptions`
-(:mod:`repro.options`); the pre-1.3 ``**kwargs`` form still works for
-one release with a :class:`DeprecationWarning`.
+(:mod:`repro.options`): ``Deobfuscator(options=PipelineOptions(...))``
+is the only constructor form.
 
 Quickstart::
 

@@ -64,7 +64,7 @@ import pickle
 import time
 from collections import deque
 from multiprocessing.connection import wait as _connection_wait
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.batch.task import (
     DEFAULT_WORKER_SPEC,
@@ -82,35 +82,41 @@ _log = get_logger("batch.pool")
 # Keys of :attr:`BatchPool.restarts`, the worker-lifecycle counters.
 RESTART_REASONS = ("crash", "timeout")
 
-# Listening sockets owned by the HTTP front ends.  Workers are forked
-# on demand, so whichever listeners happen to be open at that moment
-# are copied into the child's FD table — and the kernel then keeps the
-# port accepting connections even after the owning server closes its
-# own copy (clients hang in the backlog instead of being refused).
-# Front ends register their listener here and workers close every
-# registered FD first thing after the fork.  Each entry records the
-# descriptor's fstat identity: FD numbers are recycled, and blindly
-# closing a recycled number in the child can sever multiprocessing's
-# own plumbing (closing the inherited parent-sentinel pipe makes the
-# parent's ``Process.join`` block forever on a live child).  The child
-# closes an FD only while it still names the registered socket.
-# Spawn-style contexts start from a clean FD table and see an empty
-# copy of this mapping.
-_FORK_UNSAFE_FDS: Dict[int, Tuple[int, int]] = {}
+# Sockets owned by the HTTP front ends: listeners and accepted
+# connections.  Workers are forked on demand, so whichever of these
+# happen to be open at that moment are copied into the child's FD
+# table — and the kernel then keeps them alive after the owning server
+# closes its own copy: a closed listener's port keeps accepting
+# (clients hang in the backlog instead of being refused), and a closed
+# connection sends no FIN (the client never sees EOF).  Front ends
+# register each socket here and workers close every registered FD
+# first thing after the fork.  Each entry is ``(fd, st_dev, st_ino)``:
+# FD numbers are recycled, and blindly closing a recycled number in the
+# child can sever multiprocessing's own plumbing (closing the inherited
+# parent-sentinel pipe makes the parent's ``Process.join`` block
+# forever on a live child).  The child closes an FD only while it still
+# names the registered socket, and an owner removes exactly its own
+# entry, even after its number went to a newer socket.  Spawn-style
+# contexts start from a clean FD table and see an empty copy of this
+# set.
+_FORK_UNSAFE_FDS: Set[Tuple[int, int, int]] = set()
 
 
-def register_fork_unsafe_fd(fd: int) -> None:
-    """Mark *fd* (a listening socket) for closure in forked workers."""
+def register_fork_unsafe_fd(fd: int) -> Optional[Tuple[int, int, int]]:
+    """Mark *fd* (a socket) for closure in forked workers; return the
+    entry to hand to :func:`unregister_fork_unsafe_fd`."""
     try:
         stat = os.fstat(fd)
     except OSError:
-        return
-    _FORK_UNSAFE_FDS[fd] = (stat.st_dev, stat.st_ino)
+        return None
+    entry = (fd, stat.st_dev, stat.st_ino)
+    _FORK_UNSAFE_FDS.add(entry)
+    return entry
 
 
-def unregister_fork_unsafe_fd(fd: int) -> None:
-    """Forget *fd* once its owner closed it."""
-    _FORK_UNSAFE_FDS.pop(fd, None)
+def unregister_fork_unsafe_fd(entry: Optional[Tuple[int, int, int]]) -> None:
+    """Forget a registration once its owner closed the FD."""
+    _FORK_UNSAFE_FDS.discard(entry)
 
 
 def _worker_main(worker_spec, conn):
@@ -121,12 +127,12 @@ def _worker_main(worker_spec, conn):
     A closed pipe (parent shut down) ends the loop.
     """
     keep = conn.fileno()
-    for fd, identity in list(_FORK_UNSAFE_FDS.items()):
+    for fd, dev, ino in list(_FORK_UNSAFE_FDS):
         if fd == keep:
             continue
         try:
             stat = os.fstat(fd)
-            if (stat.st_dev, stat.st_ino) == identity:
+            if (stat.st_dev, stat.st_ino) == (dev, ino):
                 os.close(fd)
         except OSError:
             pass

@@ -14,7 +14,7 @@ the typed view over the same shape.
 from typing import Dict, Iterable, List, Optional
 
 from repro.obs.hist import Histogram
-from repro.obs.spans import canonical_phase_name
+from repro.obs.trace import canonical_phase_name
 from repro.obs.techniques import render_prevalence
 
 STATUSES = ("ok", "invalid", "timeout", "error")

@@ -154,17 +154,8 @@ def _add_log_flags(parser) -> None:
     )
 
 
-def _trace_recorder(args):
-    """A CLI-rooted SpanRecorder when ``--trace-out`` was given."""
-    if not getattr(args, "trace_out", None):
-        return None
-    from repro.obs.trace import SpanRecorder, TraceContext
-
-    return SpanRecorder(context=TraceContext.new(), process="cli")
-
-
 def _export_trace(args, recorder) -> None:
-    if recorder is None:
+    if not args.trace_out:
         return
     from repro.obs.export import SpanExporter
 
@@ -178,8 +169,10 @@ def _export_trace(args, recorder) -> None:
 
 def _cmd_deobfuscate(args) -> int:
     from repro import Deobfuscator, PipelineOptions
+    from repro.obs import SpanRecorder
 
-    recorder = _trace_recorder(args)
+    # A CLI-rooted trace: its spans feed --trace-out and --stats.
+    recorder = SpanRecorder(process="cli")
     tool = Deobfuscator(options=PipelineOptions.from_cli_args(args))
     result = tool.deobfuscate(_read(args.file), recorder=recorder)
     _export_trace(args, recorder)
@@ -202,7 +195,7 @@ def _cmd_deobfuscate(args) -> int:
     if args.stats:
         from repro.obs import render_profile
 
-        print(render_profile(result), file=sys.stderr)
+        print(render_profile(result, recorder), file=sys.stderr)
     return 0
 
 
@@ -210,10 +203,11 @@ def _cmd_profile(args) -> int:
     import json
 
     from repro import Deobfuscator, PipelineOptions
-    from repro.obs import render_profile
+    from repro.obs import SpanRecorder, render_profile
 
+    recorder = SpanRecorder()
     tool = Deobfuscator(options=PipelineOptions.from_cli_args(args))
-    result = tool.deobfuscate(_read(args.file))
+    result = tool.deobfuscate(_read(args.file), recorder=recorder)
     if args.json:
         payload = {
             "valid_input": result.valid_input,
@@ -226,7 +220,7 @@ def _cmd_profile(args) -> int:
         }
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(render_profile(result))
+        print(render_profile(result, recorder))
     return 0 if result.valid_input else 1
 
 

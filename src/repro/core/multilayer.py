@@ -82,17 +82,33 @@ def decode_encoded_command(encoded: str) -> Optional[str]:
     return script
 
 
-def _is_encoded_command_parameter(name: str) -> bool:
-    """Case-insensitive prefix match the way PowerShell binds it (paper:
-    ``'-encodedcommand'.StartsWith($param)``)."""
-    lowered = name.lstrip("-").lower()
-    return bool(lowered) and "encodedcommand".startswith(lowered)
+# ``powershell.exe`` parameters as ``(name, shortest accepted prefix)``:
+# the binder takes any case-insensitive prefix of a name that is at
+# least that long (paper: ``'-encodedcommand'.StartsWith($param)``).
+# Two-letter aliases such as ``-ep`` are names of their own.
+_ENCODED_COMMAND = (("encodedcommand", "e"), ("ec", "ec"))
+_COMMAND = (("command", "c"),)
+_FILE = (("file", "f"),)
+# The parameters that take a value; the value is never the payload.
+_VALUE_PARAMETERS = (
+    ("executionpolicy", "ex"), ("ep", "ep"),
+    ("windowstyle", "w"),
+    ("configurationname", "config"),
+    ("version", "v"),
+    ("inputformat", "in"), ("if", "if"),
+    ("outputformat", "o"), ("of", "of"),
+    ("psconsolefile", "psc"),
+    ("workingdirectory", "wo"), ("wd", "wd"),
+    ("settingsfile", "settings"),
+)
 
 
-def _is_command_parameter(name: str) -> bool:
+def _binds(name: str, parameters: Tuple[Tuple[str, str], ...]) -> bool:
+    """Does the ``-name`` token bind one of *parameters*?"""
     lowered = name.lstrip("-").lower()
-    return lowered == "c" or (
-        bool(lowered) and "command".startswith(lowered)
+    return any(
+        full.startswith(lowered) and len(lowered) >= len(shortest)
+        for full, shortest in parameters
     )
 
 
@@ -115,7 +131,13 @@ def _extract_powershell_payload(
     while index < len(elements):
         element = elements[index]
         if isinstance(element, N.CommandParameterAst):
-            if _is_encoded_command_parameter(element.name):
+            if _binds(element.name, _FILE):
+                # ``-File`` runs a script from disk: nothing to unwrap.
+                return None
+            if _binds(element.name, _VALUE_PARAMETERS):
+                if element.argument is None:
+                    index += 1
+            elif _binds(element.name, _ENCODED_COMMAND):
                 argument = element.argument
                 if argument is None and index + 1 < len(elements):
                     argument = elements[index + 1]
@@ -127,7 +149,7 @@ def _extract_powershell_payload(
                         if decoded is not None:
                             return decoded, "encoded_command"
                 return None
-            if _is_command_parameter(element.name):
+            elif _binds(element.name, _COMMAND):
                 argument = element.argument
                 if argument is None and index + 1 < len(elements):
                     argument = elements[index + 1]

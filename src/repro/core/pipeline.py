@@ -7,23 +7,39 @@ reformatted.  Every phase is individually optional so the ablation bench
 (DESIGN.md A1) can switch pieces off.
 
 Every run is instrumented through :mod:`repro.obs`: per-phase,
-per-iteration wall-clock spans plus the counters each phase emits land
-in the typed :class:`~repro.obs.PipelineStats` on the result.
+per-iteration spans go into a :class:`~repro.obs.SpanRecorder`, and
+their per-phase sums plus the counters each phase emits land in the
+typed :class:`~repro.obs.PipelineStats` on the result.
 """
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.frontend import Frontend, resolve_frontend
-from repro.obs import PipelineStats, Tracer
+from repro.obs import PipelineStats
 from repro.obs.log import get_logger
-from repro.obs.spans import SPAN_TECHNIQUES
+from repro.obs.trace import (
+    SPAN_AST,
+    SPAN_MULTILAYER,
+    SPAN_PIPELINE,
+    SPAN_REFORMAT,
+    SPAN_RENAME,
+    SPAN_TECHNIQUES,
+    SPAN_TOKEN,
+    SpanRecorder,
+)
 from repro.options import DEFAULT_MAX_ITERATIONS, PipelineOptions
 from repro.policy import PolicyAudit, SandboxPolicy, resolve_policy
 from repro.runtime.memo import SubtreeMemo
 
 _log = get_logger("core.pipeline")
+
+
+def _untimed(name: str, **attributes):
+    """The phase-span stand-in when ``collect_spans`` is off."""
+    return nullcontext()
 
 
 @dataclass
@@ -53,17 +69,16 @@ class DeobfuscationResult:
     timed_out
         True when ``deadline_seconds`` elapsed before the fixpoint was
         reached; ``script`` still holds the best-effort intermediate and
-        ``stats`` the partial telemetry (including the spans of every
-        phase that did run).
+        ``stats`` the partial telemetry (including the ``phase_seconds``
+        of every phase that did run).
     elapsed_seconds
         Wall-clock time spent inside :meth:`Deobfuscator.deobfuscate`.
     stats
-        The run's :class:`~repro.obs.PipelineStats`: per-phase spans and
-        timings, per-piece recovery outcomes with reasons, evaluator
-        step counts, variable-tracing hit/miss counts, multilayer
-        unwrap kinds, and the sandbox policy's denial/budget counters.
-        Serialize with ``stats.to_dict()``; the legacy dict-style
-        ``stats["pieces_recovered"]`` access has been retired.
+        The run's :class:`~repro.obs.PipelineStats`: per-phase timings,
+        per-piece recovery outcomes with reasons, evaluator step
+        counts, variable-tracing hit/miss counts, multilayer unwrap
+        kinds, and the sandbox policy's denial/budget counters.
+        Serialize with ``stats.to_dict()``.
     audit
         The run's :class:`~repro.policy.PolicyAudit`: per-capability
         denial counts, summed budget consumption, and — when the policy
@@ -131,10 +146,12 @@ class Deobfuscator:
         preempted) — :mod:`repro.batch` adds the hard process-kill
         backstop for corpus runs.
     collect_spans
-        Record per-phase wall-clock spans into ``result.stats`` (on by
-        default; the overhead is two clock reads per phase, pinned ≤ 5%
-        by ``benchmarks/test_phase_profile.py``).  Counters are always
-        collected.
+        Record one span per phase and fixpoint iteration under the
+        run's ``pipeline`` span, and sum them per phase into
+        ``result.stats.phase_seconds`` (on by default; the overhead is
+        pinned ≤ 5% by ``benchmarks/test_phase_profile.py``).  Off, the
+        run records no phase spans and ``phase_seconds`` stays empty.
+        Counters are always collected.
     tag_techniques
         Run the Table I technique-telemetry pass after convergence (on
         by default): the per-technique detectors scan the original and
@@ -142,10 +159,11 @@ class Deobfuscator:
         ``result.stats.techniques`` (:mod:`repro.obs.techniques`).
 
     ``deobfuscate(script, recorder=...)`` additionally accepts a
-    :class:`~repro.obs.SpanRecorder`: the whole run then records a
-    ``pipeline`` trace span with every phase span nested under it, so
-    entry points (CLI, batch worker, service request) can stitch the
-    run into a cross-process trace.
+    :class:`~repro.obs.SpanRecorder`: the run records its ``pipeline``
+    span, with every phase span nested under it, there instead of in
+    a private recorder, so entry points (CLI, batch worker, service
+    request) can stitch the run into a cross-process trace or render
+    its per-iteration spans.
     """
 
     def __init__(self, options: Optional[PipelineOptions] = None):
@@ -192,10 +210,13 @@ class Deobfuscator:
             original=script, script=script, audit=audit
         )
         stats = result.stats
+        collect_spans = self.options.collect_spans
+        if recorder is None and collect_spans:
+            recorder = SpanRecorder()
         pipeline_span = (
-            recorder.begin("pipeline") if recorder is not None else None
+            recorder.begin(SPAN_PIPELINE) if recorder is not None else None
         )
-        tracer = Tracer(enabled=self.options.collect_spans, recorder=recorder)
+        phase = recorder.span if collect_spans else _untimed
         frontend = self.frontend
         # One subtree memo per run, shared across fixpoint iterations
         # (identical obfuscated fragments recur within one script);
@@ -237,10 +258,10 @@ class Deobfuscator:
                 break
             step = current
             if self.options.token_phase:
-                with tracer.span("token", iteration=iteration):
+                with phase(SPAN_TOKEN, iteration=iteration):
                     step = frontend.token_pass(step, stats=stats)
             if self.options.ast_phase and not out_of_time():
-                with tracer.span("ast", iteration=iteration):
+                with phase(SPAN_AST, iteration=iteration):
                     step = frontend.ast_pass(
                         step,
                         options=self.options,
@@ -250,7 +271,7 @@ class Deobfuscator:
                         stats=stats,
                     )
             if self.options.multilayer and not out_of_time():
-                with tracer.span("multilayer", iteration=iteration):
+                with phase(SPAN_MULTILAYER, iteration=iteration):
                     unwrapped = frontend.unwrap_layers(step)
                 step = unwrapped.script
                 result.layers_unwrapped += unwrapped.count
@@ -271,27 +292,32 @@ class Deobfuscator:
             if out_of_time():
                 result.timed_out = True
             else:
-                with tracer.span("rename"):
+                with phase(SPAN_RENAME):
                     current = frontend.rename(current)
         if self.options.reformat:
             if out_of_time():
                 result.timed_out = True
             else:
-                with tracer.span("reformat"):
+                with phase(SPAN_REFORMAT):
                     current = frontend.reformat(current)
 
         result.script = current
 
         if self.options.tag_techniques and not out_of_time():
-            with tracer.span(SPAN_TECHNIQUES):
+            with phase(SPAN_TECHNIQUES):
                 stats.techniques = frontend.tag_techniques(
                     result.original,
                     layers=result.layers,
                     unwrap_kinds=stats.unwrap_kinds,
                 )
 
-        stats.spans = tracer.spans
-        stats.phase_seconds = tracer.phase_totals()
+        if collect_spans:
+            totals = {}
+            for span in recorder.children(pipeline_span):
+                totals[span.name] = totals.get(span.name, 0.0) + span.seconds
+            stats.phase_seconds = {
+                name: round(seconds, 6) for name, seconds in totals.items()
+            }
         finalize_counters()
         result.elapsed_seconds = time.perf_counter() - started
         if result.timed_out:

@@ -20,7 +20,11 @@ from repro.frontend.js.evaluator import JsEvaluator, js_to_string
 from repro.frontend.js.parser import try_parse
 from repro.runtime.errors import EvaluationError, StepLimitError
 from repro.runtime.limits import ExecutionBudget
-from repro.verify.equivalence import DEFAULT_MAX_DIFF, VerifyVerdict
+from repro.verify.equivalence import (
+    DEFAULT_MAX_DIFF,
+    VerifyVerdict,
+    _event_diff,
+)
 
 DEFAULT_STEP_LIMIT = 200_000
 MAX_EVENTS = 10_000
@@ -230,25 +234,11 @@ def verify_js_equivalence(
             )
     if first.events == second.events:
         return build("equivalent", "")
-    diff: List[str] = []
-    from difflib import SequenceMatcher
-
-    matcher = SequenceMatcher(
-        a=first.events, b=second.events, autojunk=False
-    )
-    for op, a_lo, a_hi, b_lo, b_hi in matcher.get_opcodes():
-        if op == "equal":
-            continue
-        diff.extend("- " + _describe(e) for e in first.events[a_lo:a_hi])
-        diff.extend("+ " + _describe(e) for e in second.events[b_lo:b_hi])
-    if len(diff) > max_diff:
-        extra = len(diff) - max_diff
-        diff = diff[:max_diff] + [f"… {extra} more difference(s)"]
     return build(
         "divergent",
         "observable event logs differ "
         f"({len(first.events)} vs {len(second.events)} events)",
-        tuple(diff),
+        _event_diff(first.events, second.events, max_diff, _describe),
     )
 
 

@@ -6,17 +6,17 @@ recoverable piece was kept or replaced.  This package is the
 instrumentation layer that records exactly that, with no third-party
 dependencies:
 
-- :class:`Tracer` / :class:`Span` — per-phase, per-iteration wall-clock
-  spans (:mod:`repro.obs.spans`), named by the canonical ``SPAN_*``
-  constants every telemetry surface shares;
-- :class:`TraceContext` / :class:`TraceSpan` / :class:`SpanRecorder` —
-  cross-process trace identity, propagated over the worker-pool pipe
-  and the W3C ``traceparent`` header (:mod:`repro.obs.trace`), exported
-  as OpenTelemetry-compatible JSONL (:mod:`repro.obs.export`) and
-  rendered by ``repro trace``;
+- :class:`SpanRecorder` / :class:`TraceSpan` / :class:`TraceContext` —
+  the one span model (:mod:`repro.obs.trace`): a run's ``pipeline``
+  span and its per-phase, per-iteration children, named by the
+  canonical ``SPAN_*`` constants every telemetry surface shares, with
+  a trace identity propagated over the worker-pool pipe and the W3C
+  ``traceparent`` header, exported as OpenTelemetry-compatible JSONL
+  (:mod:`repro.obs.export`) and rendered by ``repro trace``;
 - :class:`PipelineStats` — the typed, versioned per-run record that
-  ``DeobfuscationResult.stats`` now carries, with lossless
-  ``to_dict()``/``from_dict()`` for JSONL embedding
+  ``DeobfuscationResult.stats`` carries (counters plus
+  ``phase_seconds``, the per-phase sums of the run's phase spans),
+  with lossless ``to_dict()``/``from_dict()`` for JSONL embedding
   (:mod:`repro.obs.stats`);
 - :func:`tag_techniques` — the Table I technique-telemetry pass
   (:mod:`repro.obs.techniques`);
@@ -40,12 +40,6 @@ from repro.obs.log import (
     reset_logging,
 )
 from repro.obs.profile import profile_lines, render_profile
-from repro.obs.spans import (
-    PHASES,
-    Span,
-    Tracer,
-    canonical_phase_name,
-)
 from repro.obs.stats import (
     RECOVERY_REASONS,
     STATS_SCHEMA_VERSION,
@@ -58,10 +52,12 @@ from repro.obs.techniques import (
     tag_techniques,
 )
 from repro.obs.trace import (
+    PHASES,
     TRACE_SCHEMA_VERSION,
     SpanRecorder,
     TraceContext,
     TraceSpan,
+    canonical_phase_name,
     parse_traceparent,
 )
 from repro.obs.window import (
@@ -83,12 +79,10 @@ __all__ = [
     "RECOVERY_REASONS",
     "RollingWindow",
     "STATS_SCHEMA_VERSION",
-    "Span",
     "SpanRecorder",
     "TRACE_SCHEMA_VERSION",
     "TraceContext",
     "TraceSpan",
-    "Tracer",
     "UNWRAP_KINDS",
     "WINDOW_MINUTES",
     "canonical_phase_name",

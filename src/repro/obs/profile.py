@@ -1,15 +1,16 @@
 """Human-readable rendering of a run's telemetry.
 
 ``render_profile`` turns a :class:`~repro.obs.stats.PipelineStats` (plus
-the run metadata on a ``DeobfuscationResult``) into the text block shown
-by ``repro profile`` and ``repro deobfuscate --stats``; the same lines
-feed the triage report's telemetry section.
+the run metadata on a ``DeobfuscationResult`` and the phase spans in
+the run's :class:`~repro.obs.trace.SpanRecorder`) into the text block
+shown by ``repro profile`` and ``repro deobfuscate --stats``; the same
+counter lines feed the triage report's telemetry section.
 """
 
 from typing import List, Optional
 
-from repro.obs.spans import PHASES
 from repro.obs.stats import PipelineStats
+from repro.obs.trace import PHASES, SPAN_PIPELINE, SpanRecorder
 
 
 def _counter_line(label: str, counts: dict) -> str:
@@ -85,8 +86,13 @@ def profile_lines(
     return lines
 
 
-def render_profile(result) -> str:
-    """Full profile for one :class:`DeobfuscationResult`."""
+def render_profile(result, recorder: Optional[SpanRecorder] = None) -> str:
+    """Full profile for one :class:`DeobfuscationResult`.
+
+    With the *recorder* the run recorded into, the profile ends with
+    one ``spans`` row per phase span of the run's (last) ``pipeline``
+    span.
+    """
     stats: PipelineStats = result.stats
     lines = ["=== pipeline profile ==="]
     status = "converged"
@@ -100,13 +106,15 @@ def render_profile(result) -> str:
         f"{result.layers_unwrapped} layer(s) unwrapped — {status}"
     )
     lines.extend(profile_lines(stats, result.elapsed_seconds))
-    if stats.spans:
+    runs = [] if recorder is None else [
+        span for span in recorder.spans if span.name == SPAN_PIPELINE
+    ]
+    phase_spans = recorder.children(runs[-1]) if runs else []
+    if phase_spans:
         lines.append("spans     :")
-        for span in stats.spans:
-            tag = (
-                f"iter {span.iteration}" if span.iteration is not None
-                else "post"
-            )
+        for span in phase_spans:
+            iteration = span.attributes.get("iteration")
+            tag = f"iter {iteration}" if iteration is not None else "post"
             lines.append(
                 f"  {span.name:<10} {span.seconds:>9.4f}s  ({tag})"
             )

@@ -7,16 +7,13 @@ test), and ``from_dict(to_dict())`` round-trips losslessly — which is
 what lets ``repro batch`` embed the stats in JSONL records and
 ``repro.batch.summary`` aggregate per-phase percentiles over a corpus.
 
-The one-release dict-compat shim that kept pre-redesign
-``stats["pieces_recovered"]`` callers working has been retired; use
-the attributes, or ``to_dict()`` for a mapping.  Subscripting raises
-a ``KeyError`` that names the replacement.
+Use the attributes, or ``to_dict()`` for a mapping.
 """
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict
 
-from repro.obs.spans import Span, canonical_phase_name
+from repro.obs.trace import canonical_phase_name
 
 # Bump whenever the serialized shape of PipelineStats changes.
 # Version 2 adds the ``verify`` verdict-count section; version 3 adds
@@ -26,8 +23,11 @@ from repro.obs.spans import Span, canonical_phase_name
 # ``intern_misses`` from repro.pslang.interning); version 5 adds the
 # sandbox-policy section (``policy`` preset name, per-capability
 # ``policy_denials``, summed ``budget_spent``) from repro.policy;
-# version 6 adds the ``language`` front-end id (repro.frontend).
-STATS_SCHEMA_VERSION = 6
+# version 6 adds the ``language`` front-end id (repro.frontend);
+# version 7 drops the raw ``spans`` list — the phase spans live in the
+# run's SpanRecorder (repro.obs.trace), and ``phase_seconds`` is
+# derived from them.
+STATS_SCHEMA_VERSION = 7
 
 # Why a recoverable piece did / did not get replaced (Section III-B2
 # plus the failure taxonomy of Section V-C).
@@ -118,10 +118,10 @@ class PipelineStats:
     Timing
     ------
     phase_seconds
-        Total wall-clock per phase name (summed over iterations).
-    spans
-        The raw per-phase, per-iteration :class:`Span` list; empty when
-        the pipeline ran with ``collect_spans=False``.
+        Total wall-clock per phase name: the sum, over iterations, of
+        the run's phase spans (children of its ``pipeline`` span in
+        the :class:`~repro.obs.trace.SpanRecorder`).  Empty when the
+        pipeline ran with ``collect_spans=False``.
     """
 
     tokens_rewritten: int = 0
@@ -145,7 +145,6 @@ class PipelineStats:
     policy_denials: Dict[str, int] = field(default_factory=dict)
     budget_spent: Dict[str, int] = field(default_factory=dict)
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    spans: List[Span] = field(default_factory=list)
     schema_version: int = STATS_SCHEMA_VERSION
 
     # -- serialization ------------------------------------------------------
@@ -173,7 +172,6 @@ class PipelineStats:
             "recovery_outcomes": dict(self.recovery_outcomes),
             "unwrap_kinds": dict(self.unwrap_kinds),
             "phase_seconds": dict(self.phase_seconds),
-            "spans": [span.to_dict() for span in self.spans],
         }
         if self.verify:
             data["verify"] = dict(self.verify)
@@ -194,23 +192,18 @@ class PipelineStats:
         """Rebuild from :meth:`to_dict` output.
 
         Tolerant of older records: missing fields default to zero (a
-        pre-telemetry record's three counters still load), unknown keys
-        are ignored so a newer writer does not break an older reader,
-        and legacy phase spellings (``tokens``/``token_parsing``) are
-        folded onto the canonical names so aggregation never splits one
-        phase across two keys.
+        pre-telemetry record's three counters still load), and unknown
+        keys — the ``spans`` list of a version 6 record among them —
+        are ignored so a newer writer does not break an older reader.
+        Phase names must already be canonical
+        (:func:`~repro.obs.trace.canonical_phase_name` asserts so).
         """
         stats = cls()
         for item in fields(cls):
             if item.name not in data:
                 continue
             value = data[item.name]
-            if item.name == "spans":
-                spans = [Span.from_dict(s) for s in value]
-                for span in spans:
-                    span.name = canonical_phase_name(span.name)
-                stats.spans = spans
-            elif item.name in (
+            if item.name in (
                 "recovery_outcomes", "unwrap_kinds", "verify",
                 "techniques", "policy_denials", "budget_spent",
             ):
@@ -280,14 +273,3 @@ class PipelineStats:
             self.phase_seconds[phase] = round(
                 self.phase_seconds.get(phase, 0.0) + seconds, 6
             )
-        self.spans.extend(other.spans)
-
-    def __getitem__(self, key: str) -> Any:
-        # The one-release dict-compat shim (``stats["pieces_recovered"]``,
-        # ``.get``, ``in``, iteration) is gone.  Subscripting is kept only
-        # to tell migrating callers where to go instead of failing with an
-        # opaque TypeError.
-        raise KeyError(
-            f"PipelineStats is not a mapping; use the attribute "
-            f"stats.{key} or serialize with stats.to_dict()[{key!r}]"
-        )

@@ -1,10 +1,11 @@
-"""Cross-process trace propagation: contexts, spans, and the recorder.
+"""Spans: where a run spends its time, within and across processes.
 
-PR 2's :class:`~repro.obs.spans.Tracer` answers "where did *this
-pipeline run* spend its time", but its spans die inside one process:
-a service request that travels handler thread → cache → dispatcher →
-worker process → pipeline phases cannot be explained end to end.  This
-module adds the missing identity layer:
+This is the one span model.  A pipeline run records a ``pipeline`` span
+with one child per phase (``token``/``ast``/``multilayer`` once per
+fixpoint iteration, then ``rename``, ``reformat``, ``techniques``), and
+``PipelineStats.phase_seconds`` is the per-name sum of those children.
+The same spans join a cross-process trace when an entry point passes
+its recorder in:
 
 - :class:`TraceContext` — the ``(trace_id, span_id)`` pair minted at
   every entry point (``repro deobfuscate``, a service request, a batch
@@ -14,8 +15,8 @@ module adds the missing identity layer:
   one trace_id.
 - :class:`TraceSpan` — one timed region with identity: wall-clock start
   and end, a status (``ok`` / ``error`` / ``aborted``), and free-form
-  attributes.  Unlike :class:`~repro.obs.spans.Span` (a duration only),
-  a TraceSpan can be laid on a waterfall.
+  attributes (a phase span carries its fixpoint ``iteration``), so it
+  can be laid on a waterfall.
 - :class:`SpanRecorder` — collects TraceSpans for one request/run, with
   a stack so nested ``span()`` blocks parent correctly.  Workers that
   die mid-sample flush their open spans with ``status="aborted"``
@@ -39,6 +40,40 @@ TRACE_SCHEMA_VERSION = 1
 
 # Terminal statuses a span can carry.
 SPAN_STATUSES = ("ok", "error", "aborted")
+
+# The canonical span names.  Every surface that names a phase — the
+# phase spans, PipelineStats.phase_seconds, ``repro profile`` output,
+# batch summaries, and the ``/metrics`` phase labels — uses these, so
+# the per-process profile and the service scrape agree.
+SPAN_PIPELINE = "pipeline"
+SPAN_TOKEN = "token"
+SPAN_AST = "ast"
+SPAN_MULTILAYER = "multilayer"
+SPAN_RENAME = "rename"
+SPAN_REFORMAT = "reformat"
+SPAN_TECHNIQUES = "techniques"
+
+# The pipeline's phase names, in execution order.  ``token``/``ast``/
+# ``multilayer`` repeat once per fixpoint iteration; ``rename`` and
+# ``reformat`` run once, after convergence.
+PHASES = (SPAN_TOKEN, SPAN_AST, SPAN_MULTILAYER, SPAN_RENAME, SPAN_REFORMAT)
+
+
+def canonical_phase_name(name: str) -> str:
+    """Assert *name* is already canonical and pass it through.
+
+    The one-release alias fold (``tokens``/``token_parsing`` →
+    ``token``, ``ast_recovery`` → ``ast``, ``multi_layer`` →
+    ``multilayer``) is retired: every emitter writes the ``SPAN_*``
+    constants now, so a non-canonical spelling on a read path is a
+    producer bug to surface, not data to repair.  Unknown names other
+    than the legacy spellings still pass through — readers must accept
+    span names added by newer writers.
+    """
+    assert name not in (
+        "tokens", "token_parsing", "ast_recovery", "multi_layer"
+    ), f"legacy phase spelling {name!r} reached a read path"
+    return name
 
 
 def new_trace_id() -> str:
@@ -194,8 +229,7 @@ class SpanRecorder:
     which id the remote root span will carry), and nested ``span()``
     blocks parent on the enclosing one via an explicit stack.
 
-    Single-threaded by design — one recorder per request/run, like the
-    phase :class:`~repro.obs.spans.Tracer` it complements.  ``clock``
+    Single-threaded by design — one recorder per request/run.  ``clock``
     and ``id_factory`` are injectable so tests (and the golden trace
     file) are deterministic.
     """
@@ -282,6 +316,13 @@ class SpanRecorder:
             raise
         else:
             self.end(opened, status="ok")
+
+    def children(self, parent: TraceSpan) -> List[TraceSpan]:
+        """*parent*'s direct children, in start order."""
+        return [
+            span for span in self.spans
+            if span.parent_span_id == parent.span_id
+        ]
 
     def flush_open(self, status: str = "aborted") -> int:
         """Close every still-open span with *status*; return how many.

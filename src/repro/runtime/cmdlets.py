@@ -446,13 +446,14 @@ def _powershell(ctx: CommandContext) -> List[Any]:
     """The ``powershell``/``pwsh`` child-shell launch, run in-process.
 
     ``-EncodedCommand`` accepts any unambiguous prefix (``-e``, ``-enc``,
-    ...) and carries a Base64(UTF-16LE) script; ``-Command`` likewise.
+    ...) and the ``-ec`` alias, and carries a Base64(UTF-16LE) script;
+    ``-Command`` likewise.
     """
     encoded = None
     command = None
     file_path = None
     for key, value in ctx.parameters.items():
-        if key and "encodedcommand".startswith(key):
+        if key == "ec" or (key and "encodedcommand".startswith(key)):
             encoded = value
         elif key and key not in ("c",) and "command".startswith(key):
             command = value

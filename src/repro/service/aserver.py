@@ -193,7 +193,7 @@ class HttpEdge:
         self._executor = ThreadPoolExecutor(
             max_workers=pool_size, thread_name_prefix=thread_name
         )
-        self._listen_fds: list = []
+        self._listen_registrations: list = []
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -210,18 +210,18 @@ class HttpEdge:
             break
         # Workers forked while this listener is open would otherwise
         # inherit it and keep the port alive past drain_and_stop().
-        self._listen_fds = [sock.fileno() for sock in sockets]
-        for fd in self._listen_fds:
-            register_fork_unsafe_fd(fd)
+        self._listen_registrations = [
+            register_fork_unsafe_fd(sock.fileno()) for sock in sockets
+        ]
         return self
 
     async def stop_listening(self) -> None:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for fd in self._listen_fds:
-            unregister_fork_unsafe_fd(fd)
-        self._listen_fds = []
+        for entry in self._listen_registrations:
+            unregister_fork_unsafe_fd(entry)
+        self._listen_registrations = []
 
     async def drain_and_stop(self) -> bool:
         """Stop accepting, then let in-flight route work finish."""
@@ -246,6 +246,18 @@ class HttpEdge:
     # -- the wire -----------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        # A worker forked while this connection is open would inherit
+        # it and keep it open after we close it: the client would never
+        # see EOF.
+        entry = register_fork_unsafe_fd(
+            writer.get_extra_info("socket").fileno()
+        )
+        try:
+            await self._serve_connection(reader, writer)
+        finally:
+            unregister_fork_unsafe_fd(entry)
+
+    async def _serve_connection(self, reader, writer) -> None:
         try:
             while True:
                 try:

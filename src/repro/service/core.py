@@ -609,7 +609,6 @@ class DeobfuscationService:
         stats = record.get("stats")
         if isinstance(stats, dict):
             partial = PipelineStats.from_dict(stats)
-            partial.spans = []
             with self._gate:
                 self.pipeline_totals.merge(partial)
         verdict = (record.get("verify") or {}).get("verdict")

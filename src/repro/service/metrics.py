@@ -21,7 +21,7 @@ gauge the service already tracks:
   bucket points straight at a ``repro trace`` waterfall.
 
 Phase labels are the canonical span names of
-:mod:`repro.obs.spans`; :func:`canonical_phase_name` asserts no
+:mod:`repro.obs.trace`; :func:`canonical_phase_name` asserts no
 legacy spelling reaches a render path.
 
 ``repro_service_cache_hit_ratio`` counts coalesced joins as hits:
@@ -31,7 +31,7 @@ capacity planner wants.
 
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.obs.spans import canonical_phase_name
+from repro.obs.trace import canonical_phase_name
 
 _PIPELINE_COUNTERS = (
     "tokens_rewritten",
@@ -210,9 +210,7 @@ def merge_snapshots(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
     for snap in snapshots:
         pipeline = snap.get("pipeline")
         if isinstance(pipeline, dict):
-            partial = PipelineStats.from_dict(pipeline)
-            partial.spans = []
-            totals.merge(partial)
+            totals.merge(PipelineStats.from_dict(pipeline))
     merged["pipeline"] = totals.to_dict()
     for name in (
         "pipeline_duration_histogram",
@@ -582,20 +580,18 @@ def render_metrics(snapshot: Dict[str, Any]) -> str:
             f"Lifetime pipeline total of {name.replace('_', ' ')}.",
             [(None, pipeline.get(name, 0))],
         )
-    phase_totals: Dict[str, float] = {}
-    for phase, seconds in (pipeline.get("phase_seconds") or {}).items():
-        canonical = canonical_phase_name(str(phase))
-        phase_totals[canonical] = phase_totals.get(canonical, 0.0) + float(
-            seconds
-        )
+    phase_seconds = pipeline.get("phase_seconds") or {}
     _metric(
         lines,
         "repro_pipeline_phase_seconds_total",
         "counter",
         "Lifetime wall-clock seconds spent per pipeline phase.",
         [
-            ({"phase": phase}, round(seconds, 6))
-            for phase, seconds in sorted(phase_totals.items())
+            (
+                {"phase": canonical_phase_name(str(phase))},
+                round(float(seconds), 6),
+            )
+            for phase, seconds in sorted(phase_seconds.items())
         ]
         or [(None, 0)],
     )

@@ -26,7 +26,7 @@ multi-surface event comparison.
 import time
 from dataclasses import dataclass
 from difflib import SequenceMatcher
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.verify.normalize import describe_event, normalized_signature
 from repro.verify.observe import (
@@ -90,20 +90,25 @@ class VerifyVerdict:
 
 
 def _event_diff(
-    original: List[Tuple[str, str, Tuple[str, ...]]],
-    candidate: List[Tuple[str, str, Tuple[str, ...]]],
+    original: Sequence[Any],
+    candidate: Sequence[Any],
     max_diff: int,
+    describe: Callable[[Any], str] = describe_event,
 ) -> Tuple[str, ...]:
-    """Minimal ``-``/``+`` witness of where the two sequences part ways."""
+    """Minimal ``-``/``+`` witness of where the two sequences part ways.
+
+    Front ends with their own event shape pass the *describe* that
+    renders one of their events.
+    """
     lines: List[str] = []
     matcher = SequenceMatcher(a=original, b=candidate, autojunk=False)
     for op, a_lo, a_hi, b_lo, b_hi in matcher.get_opcodes():
         if op == "equal":
             continue
         for entry in original[a_lo:a_hi]:
-            lines.append("- " + describe_event(entry))
+            lines.append("- " + describe(entry))
         for entry in candidate[b_lo:b_hi]:
-            lines.append("+ " + describe_event(entry))
+            lines.append("+ " + describe(entry))
     if len(lines) > max_diff:
         extra = len(lines) - max_diff
         lines = lines[:max_diff] + [f"… {extra} more difference(s)"]

@@ -1,6 +1,7 @@
 """Tests for the pipeline's cooperative ``deadline_seconds`` budget."""
 
 from repro import PipelineOptions, Deobfuscator, deobfuscate
+from repro.obs import SpanRecorder
 
 NESTED = "iex 'iex ''write-host x'''"
 
@@ -58,17 +59,26 @@ class TestTimedOutTelemetry:
         # deterministically, regardless of host speed.
         monkeypatch.setattr("repro.core.pipeline.time", FakeTime())
         tool = Deobfuscator(options=PipelineOptions(deadline_seconds=3.5))
-        result = tool.deobfuscate(NESTED)
+        recorder = SpanRecorder()
+        result = tool.deobfuscate(NESTED, recorder=recorder)
         assert result.timed_out is True
-        phases_run = {span.name for span in result.stats.spans}
+        pipeline = recorder.spans[0]
+        assert (pipeline.name, pipeline.status) == ("pipeline", "aborted")
+        phases_run = {span.name for span in recorder.children(pipeline)}
         assert {"token", "ast", "multilayer"} <= phases_run
         assert "rename" not in phases_run  # post-processing was skipped
         assert set(result.stats.phase_seconds) == phases_run
 
     def test_zero_deadline_has_no_spans_but_valid_stats(self):
-        result = deobfuscate(NESTED, options=PipelineOptions(deadline_seconds=0.0))
+        recorder = SpanRecorder()
+        result = deobfuscate(
+            NESTED,
+            options=PipelineOptions(deadline_seconds=0.0),
+            recorder=recorder,
+        )
         assert result.timed_out is True
-        assert result.stats.spans == []
+        assert [span.name for span in recorder.spans] == ["pipeline"]
+        assert result.stats.phase_seconds == {}
         # The record still serializes round-trip cleanly.
         from repro.obs import PipelineStats
 

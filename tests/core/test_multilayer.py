@@ -112,6 +112,57 @@ class TestUnwrapSafety:
         assert result == source
 
 
+class TestPowerShellParameters:
+    """``powershell.exe`` parameters that take a value consume it, and
+    ``-File`` never unwraps: its path is not an inline script."""
+
+    FILE_LINE = (
+        'powershell -ExecutionPolicy Bypass -File "C:\\Users\\Public\\run.ps1"'
+    )
+
+    def test_file_line_is_kept_and_verifies_equivalent(self):
+        from repro.verify import verify_result
+
+        result = deobfuscate(self.FILE_LINE)
+        assert result.script == self.FILE_LINE
+        assert result.layers_unwrapped == 0
+        assert verify_result(result).verdict == "equivalent"
+
+    def test_file_prefixes_never_unwrap(self):
+        for flag in ("-f", "-Fil", "-FILE"):
+            source = f"powershell {flag} run.ps1 'write-host hi'"
+            assert unwrap_layers(source) == (source, 0)
+
+    def test_value_parameters_consume_their_value(self):
+        for flags in (
+            "-ep bypass",
+            "-ExecutionPolicy:Bypass",
+            "-Exec Bypass -WindowStyle Hidden",
+            "-w hidden -Version 2 -ConfigurationName x -InputFormat Text",
+            "-OutputFormat Text -PSConsoleFile c.psc1",
+            "-WorkingDirectory C:\\ -SettingsFile s.json",
+        ):
+            result, count = unwrap_layers(
+                f"powershell {flags} 'write-host hi'"
+            )
+            assert (result, count) == ("write-host hi", 1), flags
+
+    def test_a_value_alone_is_not_a_payload(self):
+        source = "powershell -ExecutionPolicy Bypass"
+        assert unwrap_layers(source) == (source, 0)
+
+    def test_hidden_encoded_command_still_unwraps(self):
+        payload = enc("write-host hi")
+        result = deobfuscate(f"powershell -w hidden -NoP -e {payload}")
+        assert result.script == "Write-Host hi"
+
+    def test_command_after_execution_policy_still_unwraps(self):
+        result = deobfuscate(
+            'powershell -ExecutionPolicy Bypass -Command "write-host hi"'
+        )
+        assert result.script == "Write-Host hi"
+
+
 class TestMultiLayerEndToEnd:
     def test_two_layers(self):
         inner = "write-host hello"

@@ -1,8 +1,10 @@
 """End-to-end tests for the full Deobfuscator pipeline."""
 
 import base64
+import itertools
 
 from repro import PipelineOptions, Deobfuscator, deobfuscate
+from repro.obs import SpanRecorder
 
 
 def enc(script: str) -> str:
@@ -49,16 +51,14 @@ class TestEndToEnd:
 
     def test_phase_spans_recorded(self):
         result = deobfuscate("iex ('a'+'b')")
-        assert result.stats.spans, "spans should be on by default"
         assert set(result.stats.phase_seconds) >= {
             "token", "ast", "multilayer", "rename", "reformat",
-        }
-        assert all(s.seconds >= 0 for s in result.stats.spans)
+        }, "spans should be on by default"
+        assert all(s >= 0 for s in result.stats.phase_seconds.values())
 
     def test_collect_spans_off_keeps_counters(self):
         tool = Deobfuscator(options=PipelineOptions(collect_spans=False))
         result = tool.deobfuscate("iex ('a'+'b')")
-        assert result.stats.spans == []
         assert result.stats.phase_seconds == {}
         assert result.stats.pieces_recovered >= 1
 
@@ -75,6 +75,54 @@ class TestEndToEnd:
     def test_layers_recorded(self):
         result = deobfuscate("iex 'iex ''write-host x'''")
         assert len(result.layers) >= 1
+
+
+class TestOneSpanModel:
+    """Phase spans are recorded once, into the run's recorder, and
+    ``phase_seconds`` is read from them."""
+
+    SCRIPT = "iex 'iex ''write-host x'''"  # two layers
+    STEP = 0.0012345678
+
+    def test_each_phase_span_once_under_the_pipeline_span(self):
+        recorder = SpanRecorder()
+        with recorder.span("caller"):
+            result = deobfuscate(self.SCRIPT, recorder=recorder)
+        caller, pipeline = recorder.spans[:2]
+        assert pipeline.name == "pipeline"
+        assert pipeline.parent_span_id == caller.span_id
+        phases = recorder.children(pipeline)
+        assert result.iterations >= 3
+        assert [(s.name, s.attributes.get("iteration")) for s in phases] == [
+            (name, iteration)
+            for iteration in range(result.iterations)
+            for name in ("token", "ast", "multilayer")
+        ] + [("rename", None), ("reformat", None), ("techniques", None)]
+        # Nothing else was recorded, and nothing twice.
+        assert recorder.spans == [caller, pipeline] + phases
+
+    def test_phase_seconds_is_the_per_name_sum_of_those_spans(self):
+        # Every clock read advances one step.
+        clock = itertools.count(1_700_000_000.0, self.STEP).__next__
+        recorder = SpanRecorder(clock=clock)
+        result = deobfuscate(self.SCRIPT, recorder=recorder)
+        sums = {}
+        for span in recorder.children(recorder.spans[0]):
+            sums[span.name] = sums.get(span.name, 0.0) + span.seconds
+        assert result.stats.phase_seconds == {
+            name: round(seconds, 6) for name, seconds in sums.items()
+        }
+        # One clock step per token span, rounded to 6 places.
+        assert result.stats.phase_seconds["token"] == round(
+            result.iterations * self.STEP, 6
+        )
+
+    def test_collect_spans_off_records_only_the_pipeline_span(self):
+        recorder = SpanRecorder()
+        tool = Deobfuscator(options=PipelineOptions(collect_spans=False))
+        result = tool.deobfuscate(self.SCRIPT, recorder=recorder)
+        assert [span.name for span in recorder.spans] == ["pipeline"]
+        assert result.stats.phase_seconds == {}
 
 
 class TestPaperCaseStudy:

@@ -224,7 +224,23 @@ class TestVerification:
             "console.log('hello');", "console.log('goodbye');"
         )
         assert verdict.verdict == "divergent"
-        assert verdict.diff
+        assert verdict.diff == (
+            "- console.log(hello)", "+ console.log(goodbye)"
+        )
+
+    def test_divergent_diff_is_cut_off_like_powershell(self):
+        from repro.frontend.js.runner import verify_js_equivalence
+
+        verdict = verify_js_equivalence(
+            "".join(f"console.log({i});" for i in range(6)),
+            "console.log('x');",
+            max_diff=4,
+        )
+        assert verdict.reason == "observable event logs differ (6 vs 1 events)"
+        assert verdict.diff == (
+            "- console.log(0)", "- console.log(1)", "- console.log(2)",
+            "- console.log(3)", "… 3 more difference(s)",
+        )
 
     def test_invalid_candidate_is_divergent(self):
         from repro.frontend.js.runner import verify_js_equivalence

@@ -9,7 +9,6 @@ from repro.obs import (
     STATS_SCHEMA_VERSION,
     UNWRAP_KINDS,
     PipelineStats,
-    Span,
 )
 
 
@@ -31,11 +30,6 @@ def populated() -> PipelineStats:
     stats.recovery_outcomes["blocked"] = 1
     stats.unwrap_kinds["iex"] = 2
     stats.phase_seconds = {"token": 0.001, "ast": 0.05}
-    stats.spans = [
-        Span("token", 0.001, iteration=0),
-        Span("ast", 0.05, iteration=0),
-        Span("rename", 0.002),
-    ]
     return stats
 
 
@@ -65,7 +59,15 @@ class TestRoundTrip:
         stats = PipelineStats.from_dict(legacy)
         assert stats.pieces_recovered == 5
         assert stats.evaluator_steps == 0
-        assert stats.spans == []
+        assert stats.phase_seconds == {}
+
+    def test_from_dict_ignores_a_version_6_spans_list(self):
+        old = populated().to_dict()
+        old["schema_version"] = 6
+        old["spans"] = [{"name": "ast", "seconds": 0.05, "iteration": 0}]
+        stats = PipelineStats.from_dict(old)
+        assert stats.phase_seconds == {"token": 0.001, "ast": 0.05}
+        assert "spans" not in stats.to_dict()
 
     def test_from_dict_ignores_unknown_keys(self):
         stats = PipelineStats.from_dict({"pieces_recovered": 1,
@@ -90,26 +92,21 @@ class TestMerge:
         assert a.recovery_outcomes["recovered"] == 6
         assert a.unwrap_kinds["iex"] == 4
         assert a.phase_seconds["ast"] == 0.1
-        assert len(a.spans) == 6
 
 
 class TestDictCompatShimRetired:
-    """The one-release bridge is gone; subscripting must say so."""
-
-    def test_getitem_raises_pointing_at_to_dict(self):
-        with pytest.raises(KeyError, match=r"to_dict\(\)"):
-            populated()["pieces_recovered"]
+    """PipelineStats is a dataclass, not a mapping."""
 
     def test_mapping_protocol_is_gone(self):
         stats = populated()
         assert not hasattr(stats, "keys")
         assert not hasattr(stats, "items")
         assert not hasattr(stats, "get")
-        # __getitem__ only exists to raise; the legacy-iteration and
-        # containment fallbacks that route through it fail too.
-        with pytest.raises(KeyError):
+        with pytest.raises(TypeError):
+            stats["pieces_recovered"]
+        with pytest.raises(TypeError):
             list(stats)
-        with pytest.raises(KeyError):
+        with pytest.raises(TypeError):
             "evaluator_steps" in stats
 
     def test_to_dict_is_the_mapping_form(self):

@@ -135,6 +135,18 @@ class TestSpanRecorder:
         ]
         assert all(s.end_unix is not None for s in recorder.spans)
 
+    def test_children_are_the_direct_ones_in_start_order(self):
+        recorder = SpanRecorder(clock=FakeClock(), id_factory=make_ids())
+        with recorder.span("outer") as outer:
+            with recorder.span("first"):
+                with recorder.span("grandchild"):
+                    pass
+            with recorder.span("second"):
+                pass
+        assert [s.name for s in recorder.children(outer)] == [
+            "first", "second",
+        ]
+
     def test_second_top_level_span_is_root_sibling(self):
         ctx = TraceContext.new().child()
         recorder = SpanRecorder(context=ctx, id_factory=make_ids())

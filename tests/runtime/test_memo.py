@@ -141,7 +141,7 @@ class TestPipelineDeterminism:
             # Only speed-side telemetry may differ (budget_spent counts
             # sandbox steps actually executed, which the memo avoids).
             for volatile in (
-                "phase_seconds", "spans",
+                "phase_seconds",
                 "subtree_memo_hits", "subtree_memo_misses",
                 "intern_hits", "intern_misses", "budget_spent",
             ):

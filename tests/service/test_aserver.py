@@ -19,6 +19,7 @@ from repro.service import DeobfuscationService, ServiceConfig
 from repro.service.aserver import start_async_server, start_edge
 from repro.service.core import jittered_retry_after
 from repro.service.fleet import FleetRouter, FleetState
+from tests.service.helpers import CRASH_MARKER
 from tests.service.test_service import get, metric_value, post
 
 
@@ -288,3 +289,33 @@ class TestInputLimits:
             final = sock.makefile("rb").readline()
         # The service answers; the router finds no live instance.
         assert final.split()[1] in (b"200", b"503")
+
+
+class TestForkedWorkers:
+    def test_idle_connection_sees_eof_after_a_worker_respawn(self, served):
+        # A worker forked while a connection is open inherits its FD;
+        # unless the worker closes it, the edge's close sends no FIN
+        # and the client waits for the worker's lifetime.
+        _, url = served(
+            jobs=1, worker="tests.service.helpers:counting_worker"
+        )
+        edge = served.handles[-1]
+        edge.server.idle_timeout = 2.0
+        idle = http.client.HTTPConnection(*edge.server_address, timeout=10)
+        try:
+            idle.request("GET", "/healthz")
+            assert idle.getresponse().read()
+            # The edge now holds the connection idle.  Crash the worker,
+            # then make the pool fork a fresh one while it stays open.
+            started = time.monotonic()
+            assert post(url, {"script": CRASH_MARKER})[1]["status"] == (
+                "error"
+            )
+            assert post(url, {"script": "write-host hi"})[0] == 200
+            idle.sock.settimeout(edge.server.idle_timeout + 3.0)
+            assert idle.sock.recv(1) == b""
+            assert time.monotonic() - started < (
+                edge.server.idle_timeout + 3.0
+            )
+        finally:
+            idle.close()

@@ -32,5 +32,5 @@ def test_phase_profile_corpus_runs(collect_spans):
         [SimpleNamespace(script=SCRIPT)], collect_spans=collect_spans
     )
     assert [result.script for result in results] == ["Write-Host hi"]
-    assert bool(results[0].stats.spans) is collect_spans
+    assert bool(results[0].stats.phase_seconds) is collect_spans
     assert wall > 0

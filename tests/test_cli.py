@@ -74,6 +74,7 @@ class TestDeobfuscateCommand:
         assert out.strip() == "Write-Host hi"
         assert "=== pipeline profile ===" in err
         assert "recovery" in err
+        assert "(iter 0)" in err
 
 
 class TestProfileCommand:
@@ -86,6 +87,16 @@ class TestProfileCommand:
         assert "ast" in out
         # The profile replaces the script, not prints it.
         assert "'ab'" not in out
+
+    def test_text_profile_lists_per_iteration_spans(self, script_file, capsys):
+        path = script_file("iex ('a'+'b')")
+        code, out, _ = run_cli(["profile", path], capsys)
+        assert code == 0
+        rows = out.split("spans     :\n", 1)[1].splitlines()
+        assert rows[0].split()[0] == "token"
+        assert rows[0].endswith("(iter 0)")
+        assert rows[-1].split()[0] == "techniques"
+        assert rows[-1].endswith("(post)")
 
     def test_json_profile_round_trips(self, script_file, capsys):
         import json

@@ -6,10 +6,22 @@ non-equivalent verdict (the paper's Table IV behavioural-consistency
 experiment, upgraded to ordered event logs).
 """
 
+import os
+
+import pytest
+
+from repro import deobfuscate
 from repro.batch.task import make_tasks, run_one
 from repro.dataset import generate_corpus
+from repro.verify import verify_result
 
 CORPUS_SIZE = 24
+
+# Inputs that once verified divergent, one script per file.  draw-00217
+# is seed-2022 generator draw 217 (the benchmark corpus): a dropper
+# whose hex-encoded payload ends in ``powershell -ExecutionPolicy
+# Bypass -File <path>``, which used to unwrap into the bare path.
+REGRESSIONS = os.path.join(os.path.dirname(__file__), "regressions")
 
 
 class TestCorpusEquivalence:
@@ -50,3 +62,10 @@ class TestCorpusEquivalence:
         record = run_one(make_tasks([str(sample)], verify=True)[0])
         assert record["stats"]["verify"] == {"equivalent": 1}
         assert record["verify"]["verdict"] == "equivalent"
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(REGRESSIONS)))
+def test_regression_input_verifies_equivalent(name):
+    with open(os.path.join(REGRESSIONS, name), encoding="utf-8") as handle:
+        verdict = verify_result(deobfuscate(handle.read()))
+    assert verdict.verdict == "equivalent", verdict.to_dict()

@@ -53,6 +53,19 @@ class TestEquivalentVerdict:
         verdict = verify_result(result)
         assert verdict.verdict == "equivalent", verdict.to_dict()
 
+    def test_ec_alias_runs_the_encoded_payload(self):
+        # powershell.exe binds -ec as -EncodedCommand; the sandbox must
+        # too, or the unwrapped layer reads as gained behaviour.
+        import base64
+
+        payload = base64.b64encode("write-host hi".encode("utf-16-le"))
+        result = Deobfuscator().deobfuscate(
+            f"powershell -EC {payload.decode()}"
+        )
+        assert result.script == "Write-Host hi"
+        verdict = verify_result(result)
+        assert verdict.verdict == "equivalent", verdict.to_dict()
+
 
 class TestDivergentVerdict:
     def test_lost_behavior_is_divergent_with_diff(self):
