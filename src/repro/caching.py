@@ -1,82 +1,105 @@
-"""Small shared caching primitives.
+"""The one bounded-LRU primitive under every cache.
 
-:class:`SaltedLRUCache` is the bounded, salt-keyed LRU used by every
-process-wide read-only cache that could otherwise be shared between
-language front ends: the PowerShell parse cache
-(:mod:`repro.pslang.parser`), the technique-detector script views
-(:mod:`repro.scoring.detectors`), and the JavaScript parse cache
-(:mod:`repro.frontend.js.parser`).
-
-Why a salt at all: these caches key on *source text*, and two front
-ends can absolutely be handed the same text (an ``eval`` payload that
-is valid in both grammars, a one-liner like ``x=1``).  Keying each
-entry by ``(salt, source)`` — where the salt is the front-end id —
-makes a cross-language replay of the wrong AST structurally
-impossible, rather than merely unlikely.
+:class:`LRUCache` holds the eviction code for all three cache levels:
+the process-wide parse and view caches (:mod:`repro.pslang.parser`,
+:mod:`repro.frontend.js.parser`, :mod:`repro.scoring.detectors`), the
+per-run subtree memo (:mod:`repro.runtime.memo`) and the service's
+result cache (:mod:`repro.service.cache`).  Each keeps its own
+instance, so two caches never share entries; the parse caches key on
+the source text alone.
 """
 
 from collections import OrderedDict
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Hashable, List, Optional, Tuple
 
-DEFAULT_MAX_ENTRIES = 1024
-# Large sources are both unlikely to repeat and expensive to retain.
-DEFAULT_MAX_CHARS = 32_768
+# Sources longer than this are built but not kept by the parse and view
+# caches: large sources are both unlikely to repeat and expensive to
+# retain.
+MAX_SOURCE_CHARS = 32_768
 
 
-class SaltedLRUCache:
-    """A bounded LRU keyed by ``(salt, source)``.
+class LRUCache:
+    """A map bounded by an entry budget and an optional summed-weight
+    budget, evicting least recently used entries first.
 
-    ``salt`` is typically a front-end id (``"powershell"``, ``"js"``).
-    Values are shared across callers and must be treated as read-only.
+    ``hits``, ``misses`` and ``evictions`` are lifetime counters;
+    ``weight`` is the summed weight of the stored entries.  A stored
+    value of None reads as a miss.  Not thread-safe: callers that share
+    an instance across threads hold their own lock.
     """
 
-    __slots__ = ("max_entries", "max_chars", "hits", "misses", "_entries")
+    __slots__ = (
+        "max_entries", "max_weight", "weight",
+        "hits", "misses", "evictions", "_entries",
+    )
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        max_chars: int = DEFAULT_MAX_CHARS,
-    ):
+    def __init__(self, max_entries: int, max_weight: Optional[int] = None):
         self.max_entries = max_entries
-        self.max_chars = max_chars
+        self.max_weight = max_weight
+        self.weight = 0
         self.hits = 0
         self.misses = 0
-        self._entries: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
+        self.evictions = 0
+        self._entries: "OrderedDict[Hashable, Tuple[Any, int]]" = (
+            OrderedDict()
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, salt: str, source: str) -> Optional[Any]:
-        key = (salt, source)
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
-        self.misses += 1
-        return None
+    def get(self, key: Hashable) -> Optional[Any]:
+        """The value stored under *key*, refreshing its recency."""
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return entry[0]
 
-    def put(self, salt: str, source: str, value: Any) -> None:
-        if len(source) > self.max_chars:
-            return
-        key = (salt, source)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = value
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+    def put(self, key: Hashable, value: Any, weight: int = 0) -> bool:
+        """Store *value* under *key*, then evict until both budgets
+        hold.  Returns False, storing nothing, when the entry budget is
+        zero or *weight* alone exceeds the weight budget."""
+        max_weight = self.max_weight
+        if self.max_entries <= 0 or (
+            max_weight is not None and weight > max_weight
+        ):
+            return False
+        entries = self._entries
+        old = entries.pop(key, None)
+        if old is not None:
+            self.weight -= old[1]
+        entries[key] = (value, weight)
+        self.weight += weight
+        while len(entries) > self.max_entries or (
+            max_weight is not None and self.weight > max_weight
+        ):
+            _key, (_value, dropped) = entries.popitem(last=False)
+            self.weight -= dropped
+            self.evictions += 1
+        return True
 
     def get_or_build(
-        self, salt: str, source: str, build: Callable[[str], Any]
+        self,
+        key: Hashable,
+        build: Callable[[Any], Any],
+        keep: bool = True,
     ) -> Any:
-        """Cached value for ``(salt, source)``, building (and storing)
-        on a miss.  Build errors are not cached — they re-raise on
-        every call."""
-        value = self.get(salt, source)
+        """The value for *key*; on a miss, ``build(key)`` and store it
+        when *keep*.  A build that raises stores nothing, so it
+        re-raises on every call."""
+        value = self.get(key)
         if value is None:
-            value = build(source)
-            self.put(salt, source, value)
+            value = build(key)
+            if keep:
+                self.put(key, value)
         return value
+
+    def items(self) -> List[Tuple[Hashable, Any]]:
+        """Every ``(key, value)``, least recently used first."""
+        return [(key, entry[0]) for key, entry in self._entries.items()]
 
     def clear(self) -> None:
         self._entries.clear()
+        self.weight = 0

@@ -403,7 +403,6 @@ def _cmd_serve(args) -> int:
         queue_limit=args.queue_limit,
         cache_max_entries=args.cache_entries,
         cache_max_bytes=args.cache_bytes,
-        cache_shards=args.cache_shards,
         cache_dir=args.cache_dir,
         max_jobs=args.max_jobs,
         default_options=default_options,
@@ -432,7 +431,6 @@ def _cmd_fleet(args) -> int:
         "--queue-limit", str(args.queue_limit),
         "--cache-entries", str(args.cache_entries),
         "--cache-bytes", str(args.cache_bytes),
-        "--cache-shards", str(args.cache_shards),
         "--log-level", args.log_level,
     ]
     if args.max_jobs:
@@ -1017,11 +1015,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result cache byte budget (default: 256 MiB)",
     )
     p.add_argument(
-        "--cache-shards", type=int, default=8, metavar="N",
-        help="independent result-cache shards keyed by script hash "
-        "(default: 8)",
-    )
-    p.add_argument(
         "--cache-dir", metavar="DIR", default=None,
         help="persist the result cache here (snapshot + append-only "
         "journal); a restarted instance warm-starts from it",
@@ -1107,10 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-bytes", type=int, default=256 * 1024 * 1024, metavar="B",
         help="per-instance result cache byte budget (default: 256 MiB)",
-    )
-    p.add_argument(
-        "--cache-shards", type=int, default=8, metavar="N",
-        help="result-cache shards per instance (default: 8)",
     )
     p.add_argument(
         "--access-log", action="store_true",

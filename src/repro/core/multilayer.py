@@ -17,6 +17,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.pslang import ast_nodes as N
 from repro.pslang.aliases import resolve_alias
 from repro.pslang.parser import try_parse_cached as try_parse
+from repro.pslang.powershell_exe import (
+    COMMAND,
+    ENCODED_COMMAND,
+    FILE,
+    VALUE_PARAMETERS,
+    binds,
+)
 
 _IEX_NAMES = {"iex", "invoke-expression"}
 _POWERSHELL_NAMES = {"powershell", "powershell.exe", "pwsh", "pwsh.exe"}
@@ -82,36 +89,6 @@ def decode_encoded_command(encoded: str) -> Optional[str]:
     return script
 
 
-# ``powershell.exe`` parameters as ``(name, shortest accepted prefix)``:
-# the binder takes any case-insensitive prefix of a name that is at
-# least that long (paper: ``'-encodedcommand'.StartsWith($param)``).
-# Two-letter aliases such as ``-ep`` are names of their own.
-_ENCODED_COMMAND = (("encodedcommand", "e"), ("ec", "ec"))
-_COMMAND = (("command", "c"),)
-_FILE = (("file", "f"),)
-# The parameters that take a value; the value is never the payload.
-_VALUE_PARAMETERS = (
-    ("executionpolicy", "ex"), ("ep", "ep"),
-    ("windowstyle", "w"),
-    ("configurationname", "config"),
-    ("version", "v"),
-    ("inputformat", "in"), ("if", "if"),
-    ("outputformat", "o"), ("of", "of"),
-    ("psconsolefile", "psc"),
-    ("workingdirectory", "wo"), ("wd", "wd"),
-    ("settingsfile", "settings"),
-)
-
-
-def _binds(name: str, parameters: Tuple[Tuple[str, str], ...]) -> bool:
-    """Does the ``-name`` token bind one of *parameters*?"""
-    lowered = name.lstrip("-").lower()
-    return any(
-        full.startswith(lowered) and len(lowered) >= len(shortest)
-        for full, shortest in parameters
-    )
-
-
 def _extract_iex_payload(command: N.CommandAst) -> Optional[str]:
     for element in command.elements[1:]:
         if isinstance(element, N.CommandParameterAst):
@@ -131,13 +108,13 @@ def _extract_powershell_payload(
     while index < len(elements):
         element = elements[index]
         if isinstance(element, N.CommandParameterAst):
-            if _binds(element.name, _FILE):
+            if binds(element.name, FILE):
                 # ``-File`` runs a script from disk: nothing to unwrap.
                 return None
-            if _binds(element.name, _VALUE_PARAMETERS):
+            if binds(element.name, VALUE_PARAMETERS):
                 if element.argument is None:
                     index += 1
-            elif _binds(element.name, _ENCODED_COMMAND):
+            elif binds(element.name, ENCODED_COMMAND):
                 argument = element.argument
                 if argument is None and index + 1 < len(elements):
                     argument = elements[index + 1]
@@ -149,7 +126,7 @@ def _extract_powershell_payload(
                         if decoded is not None:
                             return decoded, "encoded_command"
                 return None
-            elif _binds(element.name, _COMMAND):
+            elif binds(element.name, COMMAND):
                 argument = element.argument
                 if argument is None and index + 1 < len(elements):
                     argument = elements[index + 1]

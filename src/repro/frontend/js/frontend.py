@@ -103,13 +103,15 @@ class JavaScriptFrontend(Frontend):
     ) -> Any:
         from repro.frontend.js.runner import (
             DEFAULT_STEP_LIMIT,
-            verify_js_result,
+            verify_js_equivalence,
         )
+        from repro.verify.equivalence import judge_result
 
         if step_limit is None:
             step_limit = DEFAULT_STEP_LIMIT
-        return verify_js_result(
-            result, step_limit=step_limit, policy=policy
+        return judge_result(result) or verify_js_equivalence(
+            result.original, result.script, step_limit=step_limit,
+            policy=policy,
         )
 
     # -- generation --------------------------------------------------------

@@ -17,20 +17,18 @@ commodity-obfuscator subset needs:
     primary    := literal | IDENT | array | '(' assignment ')'
     postfix    := primary ('.' IDENT | '[' assignment ']' | call-args)*
 
-Results are memoized through the shared :class:`~repro.caching.
-SaltedLRUCache` under the ``"js"`` salt, mirroring (and isolated from)
-the PowerShell parse cache.
+Results are memoized in this module's own :class:`~repro.caching.
+LRUCache`, mirroring (and isolated from) the PowerShell parse cache.
 """
 
 from typing import List, Optional, Tuple
 
-from repro.caching import SaltedLRUCache
+from repro.caching import MAX_SOURCE_CHARS, LRUCache
 from repro.frontend.js import ast_nodes as N
 from repro.frontend.js.errors import JsLexError, JsParseError
 from repro.frontend.js.lexer import JsToken, JsTokenType, tokenize
 
-_CACHE_SALT = "js"
-_parse_cache = SaltedLRUCache()
+_parse_cache = LRUCache(max_entries=1024)
 
 # Binary precedence ladder, loosest first.  Comparison/equality/logical
 # operators parse (so real-world guards do not break the tree) even
@@ -274,9 +272,11 @@ def parse(source: str) -> N.Program:
 
 
 def parse_cached(source: str) -> N.Program:
-    """Parse through the salted process-wide cache.  Cached trees are
-    shared — treat them as read-only."""
-    return _parse_cache.get_or_build(_CACHE_SALT, source, parse)
+    """Parse through the process-wide cache.  Cached trees are shared —
+    treat them as read-only."""
+    return _parse_cache.get_or_build(
+        source, parse, keep=len(source) <= MAX_SOURCE_CHARS
+    )
 
 
 def try_parse(source: str) -> Tuple[Optional[N.Program], Optional[str]]:
@@ -292,5 +292,5 @@ def clear_parse_cache() -> None:
 
 
 def parse_cache_info() -> Tuple[int, int, int]:
-    """``(entries, hits, misses)`` — for cache-salting tests."""
+    """``(entries, hits, misses)`` of the JS parse cache."""
     return len(_parse_cache), _parse_cache.hits, _parse_cache.misses

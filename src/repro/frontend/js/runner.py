@@ -22,8 +22,9 @@ from repro.runtime.errors import EvaluationError, StepLimitError
 from repro.runtime.limits import ExecutionBudget
 from repro.verify.equivalence import (
     DEFAULT_MAX_DIFF,
+    Observation,
     VerifyVerdict,
-    _event_diff,
+    judge,
 )
 
 DEFAULT_STEP_LIMIT = 200_000
@@ -192,6 +193,22 @@ def _describe(event: JsEvent) -> str:
     return f"{name}({', '.join(arguments)})"
 
 
+def _observation(log: JsBehaviorLog) -> Observation:
+    if log.timed_out:
+        truncated: Optional[str] = "exhausted the step limit"
+    elif log.error:
+        truncated = f"failed: {log.error}"
+    else:
+        truncated = None
+    return Observation(
+        events=log.events,
+        recorded=len(log.events),
+        invalid=log.invalid,
+        error=log.error,
+        truncated=truncated,
+    )
+
+
 def verify_js_equivalence(
     original: str,
     candidate: str,
@@ -200,62 +217,18 @@ def verify_js_equivalence(
     max_diff: int = DEFAULT_MAX_DIFF,
 ) -> VerifyVerdict:
     """Differentially verify that *candidate* preserves *original*'s
-    observable behaviour, with the PowerShell verifier's verdict
-    semantics (divergent on a non-parsing candidate, inconclusive on
-    truncated runs)."""
+    observable behaviour, through the shared verdict engine
+    (:func:`repro.verify.equivalence.judge`).  A failed run is
+    inconclusive, like a truncated one."""
     started = time.perf_counter()
     first = observe_js(original, step_limit=step_limit, policy=policy)
     second = observe_js(candidate, step_limit=step_limit, policy=policy)
-
-    def build(verdict: str, reason: str, diff: Tuple[str, ...] = ()):
-        return VerifyVerdict(
-            verdict=verdict,
-            reason=reason,
-            diff=diff,
-            original_events=len(first.events),
-            candidate_events=len(second.events),
-            original_error=first.error,
-            candidate_error=second.error,
-            seconds=time.perf_counter() - started,
-        )
-
-    if second.invalid:
-        return build("divergent", "deobfuscated script does not parse")
-    if first.invalid:
-        return build("inconclusive", "original script does not parse")
-    for label, log in (("original", first), ("deobfuscated", second)):
-        if log.timed_out:
-            return build(
-                "inconclusive", f"{label} script exhausted the step limit"
-            )
-        if log.error:
-            return build(
-                "inconclusive", f"{label} script failed: {log.error}"
-            )
-    if first.events == second.events:
-        return build("equivalent", "")
-    return build(
-        "divergent",
-        "observable event logs differ "
-        f"({len(first.events)} vs {len(second.events)} events)",
-        _event_diff(first.events, second.events, max_diff, _describe),
+    return judge(
+        _observation(first),
+        _observation(second),
+        started,
+        max_diff,
+        describe=_describe,
+        differ="observable event logs differ ({} vs {} events)",
     )
 
-
-def verify_js_result(
-    result: Any,
-    step_limit: int = DEFAULT_STEP_LIMIT,
-    policy: Any = None,
-) -> VerifyVerdict:
-    """Verify a pipeline result, with the usual fast paths."""
-    if not getattr(result, "valid_input", True):
-        return VerifyVerdict(
-            verdict="inconclusive", reason="original script does not parse"
-        )
-    if result.script == result.original:
-        return VerifyVerdict(
-            verdict="equivalent", reason="script unchanged by pipeline"
-        )
-    return verify_js_equivalence(
-        result.original, result.script, step_limit=step_limit, policy=policy
-    )

@@ -1296,16 +1296,13 @@ def parse(source: str) -> N.ScriptBlockAst:
 # SHARED, so ``parse_cached`` is only for callers that never mutate the
 # tree (the sandbox evaluator, the technique detectors).  The pipeline's
 # reconstruction pass splices nodes in place and must keep using
-# ``parse``.
-#
-# Entries are salted with the front-end id (repro.caching): the same
-# source text handed to a different language front end can never replay
-# this cache's PowerShell ASTs.
+# ``parse``.  Other front ends keep their own instances, so the same
+# source text handed to another language never replays these ASTs.
 
-from repro.caching import SaltedLRUCache as _SaltedLRUCache
+from repro.caching import MAX_SOURCE_CHARS as _MAX_SOURCE_CHARS
+from repro.caching import LRUCache as _LRUCache
 
-_PARSE_CACHE_SALT = "powershell"
-_parse_cache = _SaltedLRUCache()
+_parse_cache = _LRUCache(max_entries=1024)
 
 
 def parse_cached(source: str) -> N.ScriptBlockAst:
@@ -1315,7 +1312,7 @@ def parse_cached(source: str) -> N.ScriptBlockAst:
     read-only.  Parse errors are not cached (they re-raise each call).
     """
     return _parse_cache.get_or_build(
-        _PARSE_CACHE_SALT, source, lambda text: Parser(text).parse()
+        source, parse, keep=len(source) <= _MAX_SOURCE_CHARS
     )
 
 

@@ -15,6 +15,7 @@ import binascii
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.pslang.powershell_exe import COMMAND, ENCODED_COMMAND, FILE, binds
 from repro.runtime import securestring as ss
 from repro.runtime.errors import (
     EvaluationError,
@@ -445,21 +446,21 @@ def _invoke_expression(ctx: CommandContext) -> List[Any]:
 def _powershell(ctx: CommandContext) -> List[Any]:
     """The ``powershell``/``pwsh`` child-shell launch, run in-process.
 
-    ``-EncodedCommand`` accepts any unambiguous prefix (``-e``, ``-enc``,
-    ...) and the ``-ec`` alias, and carries a Base64(UTF-16LE) script;
-    ``-Command`` likewise.
+    Parameters bind through the :mod:`repro.pslang.powershell_exe`
+    table, the one the static unwrapper uses: ``-EncodedCommand``
+    (``-e``, ``-enc``, ..., ``-ec``) carries a Base64(UTF-16LE) script,
+    ``-Command`` (``-c``, ...) inline text, ``-File`` (``-f``, ...) a
+    script path.
     """
     encoded = None
     command = None
     file_path = None
     for key, value in ctx.parameters.items():
-        if key == "ec" or (key and "encodedcommand".startswith(key)):
+        if binds(key, ENCODED_COMMAND):
             encoded = value
-        elif key and key not in ("c",) and "command".startswith(key):
+        elif binds(key, COMMAND):
             command = value
-        elif key == "c":
-            command = value
-        elif key and key not in ("f",) and "file".startswith(key):
+        elif binds(key, FILE):
             file_path = value
     if file_path is not None:
         content = ctx.evaluator.host.read_file(to_string(file_path))

@@ -31,17 +31,18 @@ piece; pieces that could reach bindings *dynamically* (``Get-Variable``,
 the full binding set instead.  False positives only lower the hit rate,
 never correctness.
 
-The memo is bounded LRU (entry count and per-value size) and lives for
-one pipeline run — created in
+The memo is a :class:`~repro.caching.LRUCache` (entry budget, plus a
+per-value size filter in front of ``put``) and lives for one pipeline
+run — created in
 :meth:`~repro.core.pipeline.Deobfuscator.deobfuscate`, shared across
 fixpoint iterations, reported via ``subtree_memo_hits`` /
 ``subtree_memo_misses`` in :class:`~repro.obs.PipelineStats`.
 """
 
 import hashlib
-from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
+from repro.caching import LRUCache
 from repro.runtime.values import PSChar
 
 DEFAULT_MAX_ENTRIES = 4096
@@ -86,20 +87,15 @@ def _digest_scalar(value: Any) -> Optional[str]:
     return None
 
 
-class SubtreeMemo:
-    """Bounded LRU memo of piece-evaluation outcomes for one run."""
+class SubtreeMemo(LRUCache):
+    """Memo of piece-evaluation outcomes for one run: an
+    :class:`~repro.caching.LRUCache` of :data:`MemoRecord` keyed by
+    :meth:`make_key`, storing only safely replayable values."""
 
-    __slots__ = ("max_entries", "hits", "misses", "evictions", "_entries")
+    __slots__ = ()
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[bytes, MemoRecord]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        super().__init__(max_entries)
 
     # -- keying ------------------------------------------------------------
 
@@ -148,28 +144,14 @@ class SubtreeMemo:
                 ))
         return digest.digest()
 
-    # -- lookup / store ----------------------------------------------------
-
-    def get(self, key: bytes) -> Optional[MemoRecord]:
-        record = self._entries.get(key)
-        if record is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return record
+    # -- store -------------------------------------------------------------
 
     def put(
         self, key: bytes, ok: bool, value: Any, reason: str, steps: int
-    ) -> None:
+    ) -> bool:
         """Store one outcome if its value is safely replayable."""
         if not isinstance(value, _SCALAR_TYPES):
-            return
+            return False
         if isinstance(value, str) and len(value) > MAX_VALUE_CHARS:
-            return
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = (ok, value, reason, steps)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+            return False
+        return super().put(key, (ok, value, reason, steps))

@@ -339,16 +339,17 @@ TECHNIQUE_LEVELS: Dict[str, int] = {
 # Technique tagging re-runs on every exposed layer of every sample, and
 # service/batch workloads see the same scripts repeatedly — a bounded
 # LRU of views (tokens + AST, both read-only to detectors) removes the
-# re-tokenize/re-parse cost.  Salted with the front-end id so another
-# language's technique pass can never replay a PowerShell view.
-from repro.caching import SaltedLRUCache
+# re-tokenize/re-parse cost.  The cache is this module's own, so
+# another language's technique pass can never replay a PowerShell view.
+from repro.caching import MAX_SOURCE_CHARS, LRUCache
 
-_VIEW_CACHE_SALT = "powershell"
-_view_cache = SaltedLRUCache(max_entries=256)
+_view_cache = LRUCache(max_entries=256)
 
 
 def _view_for(script: str) -> ScriptView:
-    return _view_cache.get_or_build(_VIEW_CACHE_SALT, script, ScriptView)
+    return _view_cache.get_or_build(
+        script, ScriptView, keep=len(script) <= MAX_SOURCE_CHARS
+    )
 
 
 def detect_techniques(script: str) -> Set[str]:

@@ -14,10 +14,10 @@ content addressing
     serve the wrong result.
 
 bounded LRU
-    :class:`ResultCache` holds at most ``max_entries`` results and at
-    most ``max_bytes`` of (approximate JSON-serialized) payload,
-    evicting least-recently-used entries; a single result larger than
-    the byte budget is simply not stored.
+    :class:`ResultCache` is a :class:`~repro.caching.LRUCache` of at
+    most ``max_entries`` results and at most ``max_bytes`` of
+    (approximate JSON-serialized) payload, its weight budget; a single
+    result larger than the byte budget is simply not stored.
 
 single-flight
     :meth:`ResultCache.lookup` atomically resolves a key to one of
@@ -37,8 +37,9 @@ The class is thread-safe; ``repro batch --dedup`` uses the same keying
 import hashlib
 import json
 import threading
-from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+from repro.caching import LRUCache
 
 # lookup() outcome tags.
 HIT, LEAD, JOIN = "hit", "lead", "join"
@@ -98,14 +99,16 @@ class Flight:
         return self.record
 
 
-class ResultCache:
+class ResultCache(LRUCache):
     """Bounded LRU over deobfuscation results, with single-flight.
 
-    ``max_entries=0`` (or ``max_bytes=0``) disables storage but keeps
-    the single-flight semantics — concurrent duplicates still run
-    once.  Counters (``hits``, ``misses``, ``coalesced``,
-    ``evictions``) are lifetime totals, exported by the service's
-    ``/metrics``.
+    The :class:`~repro.caching.LRUCache` budgets are ``max_entries``
+    and ``max_bytes`` (its weight budget; each record weighs its JSON
+    size).  ``max_entries=0`` (or ``max_bytes=0``) disables storage but
+    keeps the single-flight semantics — concurrent duplicates still run
+    once.  Reads, writes and flights all hold the cache's lock.
+    Counters (``hits``, ``misses``, ``coalesced``, ``evictions``) are
+    lifetime totals, exported by the service's ``/metrics``.
     """
 
     def __init__(
@@ -113,31 +116,32 @@ class ResultCache:
         max_entries: int = DEFAULT_MAX_ENTRIES,
         max_bytes: int = DEFAULT_MAX_BYTES,
     ):
-        self.max_entries = max(0, max_entries)
-        self.max_bytes = max(0, max_bytes)
+        super().__init__(max(0, max_entries), max_weight=max(0, max_bytes))
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, Tuple[dict, int]]" = OrderedDict()
         self._flights: Dict[str, Flight] = {}
-        self.current_bytes = 0
-        self.hits = 0
-        self.misses = 0
         self.coalesced = 0
-        self.evictions = 0
+
+    @property
+    def current_bytes(self) -> int:
+        return self.weight
 
     # -- plain cache interface ---------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def get(self, key: str) -> Optional[dict]:
         """The cached record for *key*, refreshing its recency."""
         with self._lock:
-            return self._get_locked(key)
+            return super().get(key)
 
-    def put(self, key: str, record: dict) -> None:
-        """Store *record* under *key*, evicting LRU entries as needed."""
+    def put(self, key: str, record: dict) -> bool:
+        """Store *record* under *key*, evicting LRU entries as needed;
+        False when it was not stored."""
         with self._lock:
-            self._put_locked(key, record)
+            return self._put_locked(key, record)
+
+    def items(self) -> List[Tuple[str, dict]]:
+        """Every ``(key, record)``, least recently used first."""
+        with self._lock:
+            return super().items()
 
     # -- single-flight interface -------------------------------------------
 
@@ -150,7 +154,7 @@ class ResultCache:
         will block until their wait timeout.
         """
         with self._lock:
-            record = self._get_locked(key)
+            record = super().get(key)
             if record is not None:
                 return HIT, record
             flight = self._flights.get(key)
@@ -190,10 +194,10 @@ class ResultCache:
         """Counter snapshot for ``/metrics``."""
         with self._lock:
             return {
-                "entries": len(self._entries),
-                "bytes": self.current_bytes,
+                "entries": len(self),
+                "bytes": self.weight,
                 "max_entries": self.max_entries,
-                "max_bytes": self.max_bytes,
+                "max_bytes": self.max_weight,
                 "hits": self.hits,
                 "misses": self.misses,
                 "coalesced": self.coalesced,
@@ -201,34 +205,7 @@ class ResultCache:
                 "in_flight": len(self._flights),
             }
 
-    # -- internals (callers hold self._lock) --------------------------------
-
-    def _get_locked(self, key: str) -> Optional[dict]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry[0]
-
-    def _put_locked(self, key: str, record: dict) -> None:
-        if self.max_entries == 0 or self.max_bytes == 0:
-            return
-        size = _entry_bytes(record)
-        if size > self.max_bytes:
-            return
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.current_bytes -= old[1]
-        self._entries[key] = (record, size)
-        self.current_bytes += size
-        while (
-            len(self._entries) > self.max_entries
-            or self.current_bytes > self.max_bytes
-        ):
-            _evicted_key, (_record, evicted_size) = self._entries.popitem(
-                last=False
-            )
-            self.current_bytes -= evicted_size
-            self.evictions += 1
+    def _put_locked(self, key: str, record: dict) -> bool:
+        if not (self.max_entries and self.max_weight):
+            return False  # disabled: skip sizing the record
+        return super().put(key, record, _entry_bytes(record))

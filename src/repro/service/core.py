@@ -20,8 +20,9 @@ usable in-process without HTTP).  A request travels:
    script costs one worker restart, never a wedged service.
 
 Telemetry: every executed record's :class:`~repro.obs.PipelineStats`
-is merged (spans dropped) into a service-lifetime aggregate, exported
-with the service counters by :mod:`repro.service.metrics`.
+is merged into a service-lifetime aggregate, exported with the service
+counters by :mod:`repro.service.metrics`.  The worker's spans are
+exported with the request's trace and stripped from the record.
 
 Shutdown is a drain, not a drop: :meth:`begin_drain` stops admitting,
 :meth:`drain` waits for in-flight work, :meth:`close` stops the
@@ -49,8 +50,8 @@ from repro.service.cache import (
     JOIN,
     cache_key,
 )
-from repro.service.persist import DEFAULT_COMPACT_AFTER, CachePersistence
-from repro.service.shard import DEFAULT_SHARDS, ShardedResultCache
+from repro.service.persist import CachePersistence
+from repro.service.shard import ShardedResultCache
 
 # Statuses whose results are deterministic for a given input+options
 # and therefore safe to cache.  error (environmental) and timeout
@@ -99,6 +100,12 @@ class ServiceConfig:
     deadline first, SIGKILL ``kill_grace`` later); a request may lower
     it but never raise it above this cap.
 
+    ``cache_max_entries`` and ``cache_max_bytes`` bound the result
+    cache (split over :data:`~repro.service.shard.DEFAULT_SHARDS`
+    shards); ``cache_max_entries=0`` stores nothing but keeps
+    single-flight coalescing.  ``cache_dir`` persists the cache for warm
+    restarts.
+
     ``trace_path`` enables span export: every request's trace —
     request/cache_lookup/admission/execute spans in the service
     process plus the worker/pipeline-phase spans returned across the
@@ -115,10 +122,7 @@ class ServiceConfig:
     queue_limit: int = 64
     cache_max_entries: int = DEFAULT_MAX_ENTRIES
     cache_max_bytes: int = DEFAULT_MAX_BYTES
-    cache_enabled: bool = True
-    cache_shards: int = DEFAULT_SHARDS
     cache_dir: Optional[str] = None
-    cache_compact_after: int = DEFAULT_COMPACT_AFTER
     worker: str = DEFAULT_WORKER_SPEC
     start_method: Optional[str] = None
     default_options: Dict[str, Any] = field(default_factory=dict)
@@ -158,15 +162,9 @@ class DeobfuscationService:
         self.cache = ShardedResultCache(
             max_entries=config.cache_max_entries,
             max_bytes=config.cache_max_bytes,
-            shards=config.cache_shards,
         )
         self.persistence: Optional[CachePersistence] = (
-            CachePersistence(
-                config.cache_dir,
-                compact_after=config.cache_compact_after,
-            )
-            if config.cache_dir
-            else None
+            CachePersistence(config.cache_dir) if config.cache_dir else None
         )
         self.pool = BatchPool(
             jobs=config.jobs,

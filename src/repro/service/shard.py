@@ -52,9 +52,10 @@ class ShardedResultCache:
 
     The entry and byte budgets are split evenly across shards (each
     shard gets at least one entry), so the aggregate bounds match a
-    single cache of the same configuration to within rounding.
-    ``shards=1`` degenerates to a plain :class:`ResultCache` with an
-    extra method call — the service uses the class unconditionally.
+    single cache of the same configuration to within rounding.  The
+    service always runs :data:`DEFAULT_SHARDS` shards; other counts
+    exist for tests.  :meth:`entries` and :meth:`load` go through each
+    shard's locked ``items``/``put``.
     """
 
     def __init__(
@@ -95,8 +96,8 @@ class ShardedResultCache:
     def get(self, key: str) -> Optional[dict]:
         return self.shard_for(key).get(key)
 
-    def put(self, key: str, record: dict) -> None:
-        self.shard_for(key).put(key, record)
+    def put(self, key: str, record: dict) -> bool:
+        return self.shard_for(key).put(key, record)
 
     def lookup(self, key: str) -> Tuple[str, Optional[Any]]:
         return self.shard_for(key).lookup(key)
@@ -149,23 +150,12 @@ class ShardedResultCache:
         worst miss an entry that was being inserted mid-snapshot.
         """
         for shard in self._shards:
-            with shard._lock:
-                items = [
-                    (key, entry[0])
-                    for key, entry in shard._entries.items()
-                ]
-            yield from items
+            yield from shard.items()
 
     def load(self, pairs: Iterator[Tuple[str, dict]]) -> int:
         """Warm-start: insert ``(key, record)`` pairs, returning how
         many were stored (budget evictions may drop the oldest)."""
         with self._load_lock:
-            stored = 0
-            for key, record in pairs:
-                shard = self.shard_for(key)
-                shard.put(key, record)
-                with shard._lock:
-                    if key in shard._entries:
-                        stored += 1
+            stored = sum(self.put(key, record) for key, record in pairs)
             self.loaded_entries += stored
             return stored

@@ -20,13 +20,16 @@ both behaviour logs (:mod:`repro.verify.normalize`), and judge:
 
 This is the paper's behavioural-consistency experiment (Table IV)
 upgraded from an unordered network-signature set to an ordered,
-multi-surface event comparison.
+multi-surface event comparison.  :func:`judge` decides these verdicts
+for every front end; each hands it one :class:`Observation` per run.
 """
 
 import time
 from dataclasses import dataclass
 from difflib import SequenceMatcher
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.verify.normalize import describe_event, normalized_signature
 from repro.verify.observe import (
@@ -115,15 +118,97 @@ def _event_diff(
     return tuple(lines)
 
 
-def _truncation_reason(label: str, report: BehaviorReport) -> Optional[str]:
-    """Why *report* cannot support a verdict, or None if it can."""
-    if report.timed_out:
-        return f"{label} script exhausted the step limit"
-    if report.blocked:
-        return f"{label} script execution was blocked"
-    if report.events_dropped:
-        return f"{label} script overflowed the event log"
+class Observation(NamedTuple):
+    """One run as a front end hands it to :func:`judge`: ``events`` in
+    the form they are compared in, ``recorded`` raw events logged, and
+    ``truncated`` completing "<label> script …" when the log cannot
+    support a verdict (None when it can)."""
+
+    events: Sequence[Any]
+    recorded: int
+    invalid: bool
+    error: str
+    truncated: Optional[str]
+
+
+def judge(
+    first: Observation,
+    second: Observation,
+    started: float,
+    max_diff: int,
+    describe: Callable[[Any], str],
+    differ: str,
+) -> VerifyVerdict:
+    """The verdict on an original (*first*) and its deobfuscated
+    candidate (*second*), for every front end.  *describe* renders a
+    compared event for the diff, *differ* words the divergent reason
+    from the two compared lengths, and *started* is when the
+    verification began (:func:`time.perf_counter`)."""
+
+    def build(verdict: str, reason: str, diff: Tuple[str, ...] = ()):
+        return VerifyVerdict(
+            verdict=verdict,
+            reason=reason,
+            diff=diff,
+            original_events=first.recorded,
+            candidate_events=second.recorded,
+            original_error=first.error,
+            candidate_error=second.error,
+            seconds=time.perf_counter() - started,
+        )
+
+    if second.invalid:
+        return build("divergent", "deobfuscated script does not parse")
+    if first.invalid:
+        # The pipeline never produces a candidate from an unparseable
+        # original (valid_input=False keeps the text untouched), so this
+        # arm only triggers on hand-fed pairs — nothing to compare.
+        return build("inconclusive", "original script does not parse")
+    for label, observed in (("original", first), ("deobfuscated", second)):
+        if observed.truncated:
+            return build(
+                "inconclusive", f"{label} script {observed.truncated}"
+            )
+    if first.events == second.events:
+        return build("equivalent", "")
+    return build(
+        "divergent",
+        differ.format(len(first.events), len(second.events)),
+        _event_diff(first.events, second.events, max_diff, describe),
+    )
+
+
+def judge_result(result: Any) -> Optional[VerifyVerdict]:
+    """The verdict a pipeline result gets without running anything:
+    an input the pipeline marked invalid cannot be judged, and an
+    untouched script is trivially equivalent.  None otherwise."""
+    if not getattr(result, "valid_input", True):
+        return VerifyVerdict(
+            verdict="inconclusive", reason="original script does not parse"
+        )
+    if result.script == result.original:
+        return VerifyVerdict(
+            verdict="equivalent", reason="script unchanged by pipeline"
+        )
     return None
+
+
+def _observation(report: BehaviorReport) -> Observation:
+    if report.timed_out:
+        truncated: Optional[str] = "exhausted the step limit"
+    elif report.blocked:
+        truncated = "execution was blocked"
+    elif report.events_dropped:
+        truncated = "overflowed the event log"
+    else:
+        truncated = None
+    return Observation(
+        events=normalized_signature(report.events),
+        recorded=len(report.events),
+        invalid=report.invalid,
+        error=report.error or "",
+        truncated=truncated,
+    )
 
 
 def verify_equivalence(
@@ -146,42 +231,14 @@ def verify_equivalence(
     second = observe_behavior(
         candidate, responses, step_limit=step_limit, policy=policy
     )
-    elapsed = lambda: time.perf_counter() - started  # noqa: E731
-
-    def build(verdict: str, reason: str, diff: Tuple[str, ...] = ()):
-        return VerifyVerdict(
-            verdict=verdict,
-            reason=reason,
-            diff=diff,
-            original_events=len(first.events),
-            candidate_events=len(second.events),
-            original_error=first.error or "",
-            candidate_error=second.error or "",
-            seconds=elapsed(),
-        )
-
-    if second.invalid:
-        return build("divergent", "deobfuscated script does not parse")
-    if first.invalid:
-        # The pipeline never produced a candidate from an unparseable
-        # original (valid_input=False keeps the text untouched), so this
-        # arm only triggers on hand-fed pairs — nothing to compare.
-        return build("inconclusive", "original script does not parse")
-    for label, report in (("original", first), ("deobfuscated", second)):
-        reason = _truncation_reason(label, report)
-        if reason:
-            return build("inconclusive", reason)
-
-    first_signature = normalized_signature(first.events)
-    second_signature = normalized_signature(second.events)
-    if first_signature == second_signature:
-        return build("equivalent", "")
-    diff = _event_diff(first_signature, second_signature, max_diff)
-    return build(
-        "divergent",
-        "normalized behaviour logs differ "
-        f"({len(first_signature)} vs {len(second_signature)} observable events)",
-        diff,
+    return judge(
+        _observation(first),
+        _observation(second),
+        started,
+        max_diff,
+        describe=describe_event,
+        differ="normalized behaviour logs differ "
+        "({} vs {} observable events)",
     )
 
 
@@ -191,21 +248,9 @@ def verify_result(
     step_limit: int = DEFAULT_STEP_LIMIT,
     policy=None,
 ) -> VerifyVerdict:
-    """Verify a :class:`~repro.core.pipeline.DeobfuscationResult`.
-
-    Fast paths: an untouched script is trivially equivalent (nothing to
-    execute), and a result the pipeline already marked invalid-input
-    cannot be judged.
-    """
-    if not getattr(result, "valid_input", True):
-        return VerifyVerdict(
-            verdict="inconclusive", reason="original script does not parse"
-        )
-    if result.script == result.original:
-        return VerifyVerdict(
-            verdict="equivalent", reason="script unchanged by pipeline"
-        )
-    return verify_equivalence(
+    """Verify a :class:`~repro.core.pipeline.DeobfuscationResult`,
+    taking the fast paths of :func:`judge_result` first."""
+    return judge_result(result) or verify_equivalence(
         result.original,
         result.script,
         responses,

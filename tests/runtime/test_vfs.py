@@ -115,6 +115,13 @@ class TestDropperChains:
         assert "proc.powershell_file" in kinds
         assert "net.download_string" in kinds  # the second stage fired
 
+    def test_short_f_binds_file(self):
+        # ``-f`` is ``-File``: the next argument is a script path, and
+        # what follows it is that script's arguments, not inline code.
+        report = observe_behavior("powershell -f x.ps1 'write-host hi'")
+        assert [e.kind for e in report.effects] == ["proc.powershell_file"]
+        assert report.output == []
+
     def test_invoke_dropped_script_directly(self):
         responses = {"http://x/s.ps1": "write-output 'stage-two ran'"}
         evaluator = make_evaluator(**responses)

@@ -272,6 +272,13 @@ class TestServeFlags:
         assert excinfo.value.code == 2
         assert "--legacy-threaded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["serve", "fleet"])
+    def test_cache_shards_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--cache-shards", "4"])
+        assert excinfo.value.code == 2
+        assert "--cache-shards" in capsys.readouterr().err
+
 
 class TestTopCommand:
     def test_once_renders_a_live_service(self, served, capsys):

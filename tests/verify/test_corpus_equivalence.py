@@ -1,9 +1,10 @@
 """Acceptance: the verifier over a generated corpus.
 
-``repro batch --verify`` over the example corpus must judge ≥95% of
-samples equivalent, crash nothing, and attach a reason or diff to every
-non-equivalent verdict (the paper's Table IV behavioural-consistency
-experiment, upgraded to ordered event logs).
+``repro batch --verify`` over the example corpus must judge no sample
+divergent and ≥95% equivalent (so at most 5% inconclusive), crash
+nothing, and attach a reason to every inconclusive verdict (the
+paper's Table IV behavioural-consistency experiment, upgraded to
+ordered event logs).
 """
 
 import os
@@ -40,19 +41,19 @@ class TestCorpusEquivalence:
 
         assert len(records) == CORPUS_SIZE  # no crashes
         verdicts = [record["verify"]["verdict"] for record in records]
+        non_equivalent = [
+            (record["path"], record["verify"])
+            for record in records
+            if record["verify"]["verdict"] != "equivalent"
+        ]
+        assert "divergent" not in verdicts, non_equivalent
         equivalent = verdicts.count("equivalent")
         assert equivalent / len(verdicts) >= 0.95, (
             f"only {equivalent}/{len(verdicts)} equivalent: "
-            + str([
-                (record["path"], record["verify"])
-                for record in records
-                if record["verify"]["verdict"] != "equivalent"
-            ])
+            + str(non_equivalent)
         )
         for record in records:
             verdict = record["verify"]
-            if verdict["verdict"] == "divergent":
-                assert verdict.get("diff") or verdict.get("reason")
             if verdict["verdict"] == "inconclusive":
                 assert verdict.get("reason")
 
