@@ -89,10 +89,20 @@ routed_total="$(echo "$metrics" \
 }
 echo "aggregated metrics confirmed"
 
+curl -sf "$base/healthz" | python -c '
+import json, sys
+health = json.load(sys.stdin)
+assert health["healthy_instances"] == 2, health
+assert all(report["version"] for report in health["instances"].values()), health
+'
+echo "per-instance health confirmed"
+
 curl -sf "$base/statusz" | python -c '
 import json, sys
 status = json.load(sys.stdin)
 assert status["instances"] == 2, status
+# Counters and windows come from the same scrape of each instance.
+assert status["counters"]["requests"] == 20, status["counters"]
 one = status["windows"]["1m"]
 assert one["requests"] == 20, one
 assert one["exemplar"]["trace_id"], one

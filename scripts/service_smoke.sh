@@ -47,12 +47,17 @@ assert body["cache_hit"] is True, body
 '
 echo "cache hit confirmed on second request"
 
-curl -sf "$base/healthz" | python -c '
+curl -sf "$base/healthz" >"$workdir/healthz.json"
+curl -sf "$base/metrics.json" >"$workdir/metrics.json"
+python - "$workdir/healthz.json" "$workdir/metrics.json" <<'PY'
 import json, sys
-health = json.load(sys.stdin)
+health = json.load(open(sys.argv[1], encoding="utf-8"))
+snapshot = json.load(open(sys.argv[2], encoding="utf-8"))
 assert health["status"] == "ok", health
 assert health["version"], health
-'
+# /healthz is a view of the /metrics.json snapshot.
+assert snapshot["version"] == health["version"], (snapshot, health)
+PY
 
 metrics="$(curl -sf "$base/metrics")"
 echo "$metrics" | grep -q '^repro_service_requests_total 2$'

@@ -61,10 +61,11 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import stat
 import time
 from collections import deque
 from multiprocessing.connection import wait as _connection_wait
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.batch.task import (
     DEFAULT_WORKER_SPEC,
@@ -82,41 +83,44 @@ _log = get_logger("batch.pool")
 # Keys of :attr:`BatchPool.restarts`, the worker-lifecycle counters.
 RESTART_REASONS = ("crash", "timeout")
 
-# Sockets owned by the HTTP front ends: listeners and accepted
-# connections.  Workers are forked on demand, so whichever of these
-# happen to be open at that moment are copied into the child's FD
-# table — and the kernel then keeps them alive after the owning server
-# closes its own copy: a closed listener's port keeps accepting
-# (clients hang in the backlog instead of being refused), and a closed
-# connection sends no FIN (the client never sees EOF).  Front ends
-# register each socket here and workers close every registered FD
-# first thing after the fork.  Each entry is ``(fd, st_dev, st_ino)``:
-# FD numbers are recycled, and blindly closing a recycled number in the
-# child can sever multiprocessing's own plumbing (closing the inherited
-# parent-sentinel pipe makes the parent's ``Process.join`` block
-# forever on a live child).  The child closes an FD only while it still
-# names the registered socket, and an owner removes exactly its own
-# entry, even after its number went to a newer socket.  Spawn-style
-# contexts start from a clean FD table and see an empty copy of this
-# set.
-_FORK_UNSAFE_FDS: Set[Tuple[int, int, int]] = set()
 
+def _release_inherited_sockets(keep: int) -> None:
+    """Release every socket a forked worker inherited, except *keep*.
 
-def register_fork_unsafe_fd(fd: int) -> Optional[Tuple[int, int, int]]:
-    """Mark *fd* (a socket) for closure in forked workers; return the
-    entry to hand to :func:`unregister_fork_unsafe_fd`."""
+    A fork copies the parent's whole FD table, and with it whatever
+    sockets the HTTP front ends hold at that instant: listeners and
+    accepted connections, including one accepted a moment ago that no
+    handler has seen yet.  A worker holding a copy keeps the socket
+    alive after the server closes its own: a closed listener's port
+    keeps accepting (clients hang in the backlog instead of being
+    refused) and a closed connection sends no FIN (the client never
+    sees EOF).  Each inherited socket is pointed at ``/dev/null``
+    rather than closed, so its number stays taken: a stale socket
+    object copied from the parent that is finalized later closes
+    ``/dev/null``, not an FD the worker opened since.  The standard
+    streams stay as they are, and spawn-style contexts start from a
+    clean FD table with nothing to release.
+    """
+    for directory in ("/proc/self/fd", "/dev/fd"):
+        try:
+            fds = [int(name) for name in os.listdir(directory)]
+            break
+        except OSError:
+            continue
+    else:
+        return
+    devnull = os.open(os.devnull, os.O_RDWR)
     try:
-        stat = os.fstat(fd)
-    except OSError:
-        return None
-    entry = (fd, stat.st_dev, stat.st_ino)
-    _FORK_UNSAFE_FDS.add(entry)
-    return entry
-
-
-def unregister_fork_unsafe_fd(entry: Optional[Tuple[int, int, int]]) -> None:
-    """Forget a registration once its owner closed the FD."""
-    _FORK_UNSAFE_FDS.discard(entry)
+        for fd in fds:
+            if fd <= 2 or fd in (keep, devnull):
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd, inheritable=False)
+            except OSError:
+                pass
+    finally:
+        os.close(devnull)
 
 
 def _worker_main(worker_spec, conn):
@@ -126,17 +130,7 @@ def _worker_main(worker_spec, conn):
     records here; only process death reaches the parent's crash path.
     A closed pipe (parent shut down) ends the loop.
     """
-    keep = conn.fileno()
-    for fd, dev, ino in list(_FORK_UNSAFE_FDS):
-        if fd == keep:
-            continue
-        try:
-            stat = os.fstat(fd)
-            if (stat.st_dev, stat.st_ino) == (dev, ino):
-                os.close(fd)
-        except OSError:
-            pass
-    _FORK_UNSAFE_FDS.clear()
+    _release_inherited_sockets(conn.fileno())
     worker = resolve_worker(worker_spec)
     try:
         while True:
@@ -217,9 +211,9 @@ class BatchPool:
     worker
         ``"module:callable"`` spec of the per-task worker function
         (default :func:`repro.batch.task.run_one`).
-    start_method
-        Forwarded to :func:`multiprocessing.get_context`; ``None`` uses
-        the platform default.
+
+    Workers start with the platform's default start method
+    (:func:`multiprocessing.get_context`).
 
     Attributes
     ----------
@@ -238,14 +232,13 @@ class BatchPool:
         kill_grace: float = 0.5,
         retries: int = 1,
         worker: str = DEFAULT_WORKER_SPEC,
-        start_method: Optional[str] = None,
     ):
         self.jobs = max(1, jobs or multiprocessing.cpu_count())
         self.timeout = timeout
         self.kill_grace = kill_grace
         self.retries = max(0, retries)
         self.worker = worker
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context()
         self.restarts: Dict[str, int] = {r: 0 for r in RESTART_REASONS}
         self._workers: Dict[int, _Worker] = {}
         self._worker_ids = itertools.count()
@@ -373,9 +366,8 @@ class BatchPool:
         are preserved.  The pool may be reused afterwards; fresh
         workers spawn on demand.
         """
-        # Every forked worker holds a copy of the parent's pipe end, so
-        # closing ours never reaches it as EOF: ask idle workers to
-        # exit, and busy ones once their current task is done.
+        # Ask idle workers to exit, and busy ones once their current
+        # task is done; closing our pipe end then reads as EOF too.
         for state in self._workers.values():
             try:
                 state.conn.send(None)  # graceful stop sentinel

@@ -60,11 +60,7 @@ from repro.obs.trace import (
     canonical_phase_name,
     parse_traceparent,
 )
-from repro.obs.window import (
-    WINDOW_MINUTES,
-    RollingWindow,
-    merge_window_dicts,
-)
+from repro.obs.window import WINDOW_MINUTES, RollingWindow
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -91,7 +87,6 @@ __all__ = [
     "iter_events",
     "log_tail",
     "logging_enabled",
-    "merge_window_dicts",
     "parse_traceparent",
     "profile_lines",
     "render_prevalence",

@@ -12,14 +12,16 @@ through the merge.
 
 Thread-safe (the service's handler threads and dispatcher both feed
 it) and deterministic under an injected ``clock``.  Windows serialize
-through plain dicts and :meth:`RollingWindow.merge` folds one
-instance's window into another's minute-by-minute, which is how the
-fleet router builds a fleet-wide ``/statusz``.
+through plain dicts — the service snapshot carries one as
+``window_raw`` — and :meth:`RollingWindow.merge` folds one instance's
+window into another's minute-by-minute, which is how
+:func:`repro.service.metrics.merge_snapshots` builds the fleet-wide
+window behind the router's ``/statusz``.
 """
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 from repro.obs.hist import DEFAULT_LATENCY_BUCKETS, Histogram
 
@@ -223,23 +225,3 @@ class RollingWindow:
                     slot.counters[name] = slot.counters.get(name, 0) + value
                 slot.hist.merge(hist)
 
-
-def merge_window_dicts(
-    payloads: Sequence[Optional[Dict[str, Any]]],
-    clock: Callable[[], float] = time.time,
-) -> "RollingWindow":
-    """Merge serialized instance windows into one (fleet ``/statusz``).
-
-    ``None`` entries (an instance that was down mid-scrape) are
-    skipped, matching ``merge_snapshots``'s tolerance.
-    """
-    merged: Optional[RollingWindow] = None
-    for payload in payloads:
-        if not payload:
-            continue
-        window = RollingWindow.from_dict(payload, clock=clock)
-        if merged is None:
-            merged = window
-        else:
-            merged.merge(window)
-    return merged if merged is not None else RollingWindow(clock=clock)

@@ -33,8 +33,9 @@ Layers, bottom up:
   consistent-hash router (script SHA-256 ring, rendezvous fallback)
   that runs on the same edge, with fleet-wide ``/metrics``
   aggregation.
-- :mod:`repro.service.metrics` — Prometheus text rendering and
-  cross-instance snapshot merging.
+- :mod:`repro.service.metrics` — the views of the service snapshot
+  (``/healthz``, Prometheus ``/metrics``, ``/statusz``) and its
+  cross-instance merge.
 
 In-process use, no HTTP::
 

@@ -11,8 +11,9 @@
 - **Keep-alive** — a connection serves requests until the client sends
   ``Connection: close``, goes idle, or sends garbage.
 - **One thread pool** for blocking route work, sized per edge.
-- **Fork safety** — the listener FDs are registered so forked worker
-  processes close them and never hold the port past shutdown.
+- **Fork safety** — forked worker processes release every socket
+  they inherit (:mod:`repro.batch.pool`), so none holds the port or
+  a client connection open past the edge's own close.
 
 Subclasses only add routes: :meth:`HttpEdge.route` maps one parsed
 request to ``(code, body, content_type, headers)``.  Two do:
@@ -48,10 +49,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.batch.pool import (
-    register_fork_unsafe_fd,
-    unregister_fork_unsafe_fd,
-)
 from repro.obs.trace import parse_traceparent
 from repro.service.core import (
     DeobfuscationService,
@@ -59,7 +56,11 @@ from repro.service.core import (
     ServiceUnavailable,
     jittered_retry_after,
 )
-from repro.service.metrics import render_metrics
+from repro.service.metrics import (
+    healthz_payload,
+    render_metrics,
+    statusz_payload,
+)
 
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 16 * 1024 * 1024
@@ -89,6 +90,11 @@ def json_response(
 ) -> Response:
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
     return code, body, "application/json", headers
+
+
+def metrics_response(snapshot: Dict[str, Any]) -> Response:
+    body = render_metrics(snapshot).encode("utf-8")
+    return 200, body, "text/plain; version=0.0.4; charset=utf-8", None
 
 
 class RequestError(Exception):
@@ -193,35 +199,25 @@ class HttpEdge:
         self._executor = ThreadPoolExecutor(
             max_workers=pool_size, thread_name_prefix=thread_name
         )
-        self._listen_registrations: list = []
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> "HttpEdge":
         self._server = await asyncio.start_server(
-            self._handle_connection,
+            self._serve_connection,
             host=self.host,
             port=self.port,
             limit=_MAX_HEADER_BYTES,
         )
-        sockets = self._server.sockets or ()
-        for sock in sockets:
+        for sock in self._server.sockets or ():
             self.server_address = sock.getsockname()[:2]
             break
-        # Workers forked while this listener is open would otherwise
-        # inherit it and keep the port alive past drain_and_stop().
-        self._listen_registrations = [
-            register_fork_unsafe_fd(sock.fileno()) for sock in sockets
-        ]
         return self
 
     async def stop_listening(self) -> None:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for entry in self._listen_registrations:
-            unregister_fork_unsafe_fd(entry)
-        self._listen_registrations = []
 
     async def drain_and_stop(self) -> bool:
         """Stop accepting, then let in-flight route work finish."""
@@ -244,18 +240,6 @@ class HttpEdge:
         raise NotImplementedError
 
     # -- the wire -----------------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        # A worker forked while this connection is open would inherit
-        # it and keep it open after we close it: the client would never
-        # see EOF.
-        entry = register_fork_unsafe_fd(
-            writer.get_extra_info("socket").fileno()
-        )
-        try:
-            await self._serve_connection(reader, writer)
-        finally:
-            unregister_fork_unsafe_fd(entry)
 
     async def _serve_connection(self, reader, writer) -> None:
         try:
@@ -370,10 +354,11 @@ class HttpEdge:
 class AsyncServiceServer(HttpEdge):
     """One service instance behind the edge: the ``repro serve`` routes.
 
-    ``POST /deobfuscate`` (``?verify=1`` to verify), ``GET /healthz``,
-    ``GET /metrics`` (Prometheus text), ``GET /metrics.json`` (the
-    snapshot the fleet router merges) and ``GET /statusz``; the
-    request and response shapes are in ``docs/service.md``.
+    ``POST /deobfuscate`` (``?verify=1`` to verify), ``GET
+    /metrics.json`` (the service snapshot, which the fleet router
+    merges) and its views ``GET /healthz``, ``GET /metrics``
+    (Prometheus text) and ``GET /statusz``; the request and response
+    shapes are in ``docs/service.md``.
     """
 
     def __init__(
@@ -425,22 +410,17 @@ class AsyncServiceServer(HttpEdge):
     async def route(self, method, target, headers, body) -> Response:
         url = urlsplit(target)
         if method == "GET" and url.path == "/healthz":
-            health = self.service.healthz()
+            health = healthz_payload(self.service.snapshot())
             code = 503 if health["status"] == "draining" else 200
             return json_response(code, health)
         if method == "GET" and url.path == "/metrics":
-            return (
-                200,
-                render_metrics(
-                    self.service.metrics_snapshot()
-                ).encode("utf-8"),
-                "text/plain; version=0.0.4; charset=utf-8",
-                None,
-            )
+            return metrics_response(self.service.snapshot())
         if method == "GET" and url.path == "/metrics.json":
-            return json_response(200, self.service.metrics_snapshot())
+            return json_response(200, self.service.snapshot())
         if method == "GET" and url.path == "/statusz":
-            return json_response(200, self.service.statusz())
+            return json_response(
+                200, statusz_payload(self.service.snapshot())
+            )
         if method == "POST" and url.path == "/deobfuscate":
             return await self._deobfuscate(url, headers, body)
         return json_response(404, {"error": f"no such path: {target}"})
@@ -640,7 +620,7 @@ def run_async_server(
         print("repro serve: draining…", file=sys.stderr, flush=True)
         drained = await server.drain_and_stop()
         print(
-            render_metrics(service.metrics_snapshot()),
+            render_metrics(service.snapshot()),
             file=sys.stderr,
             flush=True,
         )

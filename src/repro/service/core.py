@@ -20,8 +20,9 @@ usable in-process without HTTP).  A request travels:
    script costs one worker restart, never a wedged service.
 
 Telemetry: every executed record's :class:`~repro.obs.PipelineStats`
-is merged into a service-lifetime aggregate, exported with the service
-counters by :mod:`repro.service.metrics`.  The worker's spans are
+is merged into a service-lifetime aggregate; :meth:`snapshot` reports
+it with the service counters, and :mod:`repro.service.metrics` renders
+the endpoints from that snapshot.  The worker's spans are
 exported with the request's trace and stripped from the record.
 
 Shutdown is a drain, not a drop: :meth:`begin_drain` stops admitting,
@@ -35,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro import package_version
 from repro.batch.pool import BatchPool
 from repro.batch.task import DEFAULT_WORKER_SPEC, Task
 from repro.obs import Histogram, PipelineStats
@@ -50,6 +52,7 @@ from repro.service.cache import (
     JOIN,
     cache_key,
 )
+from repro.service.metrics import LOG_TAIL_EVENTS
 from repro.service.persist import CachePersistence
 from repro.service.shard import ShardedResultCache
 
@@ -98,7 +101,10 @@ class ServiceConfig:
     running); cache hits and coalesced joins bypass it.  ``timeout``
     is the per-request worker budget the pool enforces (cooperative
     deadline first, SIGKILL ``kill_grace`` later); a request may lower
-    it but never raise it above this cap.
+    it but never raise it above this cap.  ``jobs``, ``kill_grace``,
+    ``retries`` and ``worker`` configure the
+    :class:`~repro.batch.BatchPool`, whose workers start with the
+    platform's default start method.
 
     ``cache_max_entries`` and ``cache_max_bytes`` bound the result
     cache (split over :data:`~repro.service.shard.DEFAULT_SHARDS`
@@ -124,7 +130,6 @@ class ServiceConfig:
     cache_max_bytes: int = DEFAULT_MAX_BYTES
     cache_dir: Optional[str] = None
     worker: str = DEFAULT_WORKER_SPEC
-    start_method: Optional[str] = None
     default_options: Dict[str, Any] = field(default_factory=dict)
     trace_path: Optional[str] = None
     # Autoscaling: with ``max_jobs > jobs`` the dispatcher grows the
@@ -159,6 +164,9 @@ class DeobfuscationService:
         elif overrides:
             raise TypeError("pass either config or overrides, not both")
         self.config = config
+        # Resolved once: without an installed distribution every
+        # lookup is a failed importlib.metadata search.
+        self.version = package_version()
         self.cache = ShardedResultCache(
             max_entries=config.cache_max_entries,
             max_bytes=config.cache_max_bytes,
@@ -172,7 +180,6 @@ class DeobfuscationService:
             kill_grace=config.kill_grace,
             retries=config.retries,
             worker=config.worker,
-            start_method=config.start_method,
         )
         self.counters: Dict[str, int] = {
             "requests": 0,
@@ -638,38 +645,13 @@ class DeobfuscationService:
         with self._gate:
             return self._admitted
 
-    def healthz(self) -> Dict[str, Any]:
-        """Liveness/readiness payload.
+    def snapshot(self) -> Dict[str, Any]:
+        """Everything the service reports, as plain data.
 
-        The fleet router uses this as its readiness probe, so beyond
-        liveness it reports capacity (queue depth vs limit, current
-        autoscaled pool size) and warm-start state (how much of the
-        persisted cache a restarted instance recovered, and how many
-        corrupt journal records it had to skip).
+        ``/metrics.json`` serves it as is; ``/healthz``, ``/metrics``
+        and ``/statusz`` are views of it, and the fleet router merges
+        one per instance (all in :mod:`repro.service.metrics`).
         """
-        from repro import package_version
-
-        warm: Dict[str, Any] = {"enabled": False}
-        if self.persistence is not None:
-            warm = self.persistence.snapshot_counters()
-        return {
-            "status": "draining" if self._draining else "ok",
-            "version": package_version(),
-            "workers": self.pool.worker_count,
-            "jobs": self.config.jobs,
-            "pool_size": self.pool.jobs,
-            "queue_depth": self.queue_depth,
-            "queue_limit": self.config.queue_limit,
-            "cache_entries": len(self.cache),
-            "cache_shards": self.cache.shards,
-            "warm_start": warm,
-            "uptime_seconds": round(
-                time.monotonic() - self._started_monotonic, 3
-            ),
-        }
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """Everything ``/metrics`` renders, as plain data."""
         with self._gate:
             counters = dict(self.counters)
             queue_depth = self._admitted
@@ -706,20 +688,8 @@ class DeobfuscationService:
             "uptime_seconds": round(
                 time.monotonic() - self._started_monotonic, 3
             ),
+            "version": self.version,
+            "jobs": self.config.jobs,
+            "window_raw": self.window.to_dict(),
+            "log_tail": log_tail(limit=LOG_TAIL_EVENTS),
         }
-
-    def statusz(self) -> Dict[str, Any]:
-        """The operator's live view — everything ``/statusz`` serves.
-
-        Built from the metrics snapshot plus the rolling window and
-        the recent ring-buffer log tail; the fleet router rebuilds the
-        same shape from merged instance payloads
-        (:func:`repro.service.metrics.build_statusz`).
-        """
-        from repro.service.metrics import build_statusz
-
-        return build_statusz(
-            self.metrics_snapshot(),
-            window=self.window,
-            log_events=log_tail(limit=40),
-        )

@@ -25,17 +25,18 @@ rendezvous fallback
     has the results warm).
 
 aggregation
-    ``GET /metrics`` merges every instance's ``/metrics.json``
-    snapshot (:func:`repro.service.metrics.merge_snapshots`) into one
-    fleet-wide Prometheus exposition plus ``repro_fleet_*`` routing
-    counters; ``GET /healthz`` reports per-instance health with the
-    instances' own enriched payloads (queue depth, pool size, warm-
-    start status); ``GET /statusz`` rebuilds the single-instance
-    status payload fleet-wide — snapshots through ``merge_snapshots``,
-    rolling windows merged minute-by-minute
-    (:func:`repro.obs.window.merge_window_dicts`, so latency exemplar
-    trace ids survive), instance log tails interleaved with the
-    router's own routing/failover events.
+    Each ``GET /healthz``, ``/metrics`` and ``/statusz`` fetches every
+    instance's ``/metrics.json`` snapshot exactly once.  ``/healthz``
+    reports each instance's own health view of its snapshot (queue
+    depth, pool size, warm-start status; ``draining`` for an instance
+    that is draining); ``/metrics`` and ``/statusz`` render one merge
+    of the snapshots (:func:`repro.service.metrics.merge_snapshots`:
+    counters and histograms, rolling windows minute by minute so
+    latency exemplar trace ids survive, instance log tails interleaved
+    with the router's own routing/failover events), with the router's
+    routing counters attached as its ``router`` section.  An instance
+    that does not answer, or is draining, is marked down until a
+    scrape or the prober finds it ready again.
 
 The router is deliberately thin — no pipeline work, no cache.
 :class:`FleetRouter` adds its routes to the same asyncio edge
@@ -64,18 +65,19 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.obs.log import get_logger, log_tail
-from repro.obs.window import merge_window_dicts
 from repro.service.aserver import (
     HttpEdge,
     Response,
     json_response,
+    metrics_response,
     serve_until_signal,
 )
 from repro.service.cache import normalize_source
 from repro.service.metrics import (
-    build_statusz,
+    LOG_TAIL_EVENTS,
+    healthz_payload,
     merge_snapshots,
-    render_metrics,
+    statusz_payload,
 )
 
 _log = get_logger("service.fleet")
@@ -309,32 +311,51 @@ class FleetRouter(HttpEdge):
         if method == "GET" and path == "/healthz":
             return self._healthz()
         if method == "GET" and path == "/metrics":
-            return self._metrics()
+            return metrics_response(self._fleet_snapshot())
         if method == "GET" and path == "/statusz":
-            return self._statusz()
+            return json_response(200, statusz_payload(self._fleet_snapshot()))
         if method == "POST" and path == "/deobfuscate":
             return self._proxy(target, headers, body)
         return json_response(404, {"error": f"no such path: {target}"})
 
     # -- aggregation endpoints ----------------------------------------------
 
-    def _healthz(self) -> Response:
-        reports = {}
-        healthy = 0
+    def _scrape(self) -> Dict[str, Optional[Dict[str, Any]]]:
+        """Every instance's ``/metrics.json`` (None if it did not
+        answer), fetched once; marks an instance down when it did not
+        answer or is draining, so routing skips it, and up otherwise."""
+        snapshots: Dict[str, Optional[Dict[str, Any]]] = {}
         for instance in self.state.instances:
-            health = _fetch_json(instance + "/healthz", timeout=5.0)
-            if health is None:
+            snap = _fetch_json(instance + "/metrics.json", timeout=10.0)
+            if not snap or snap.get("draining"):
                 self.state.mark_down(instance)
-                reports[instance] = {"status": "unreachable"}
             else:
-                if health.get("status") == "ok":
-                    self.state.mark_up(instance)
-                    healthy += 1
-                reports[instance] = health
-        total = len(self.state.instances)
+                self.state.mark_up(instance)
+            snapshots[instance] = snap
+        return snapshots
+
+    def _fleet_snapshot(self) -> Dict[str, Any]:
+        """One scrape merged once, plus the router's own log events and
+        its routing counters as the ``router`` section."""
+        merged = merge_snapshots(
+            self._scrape(), router_events=log_tail(limit=LOG_TAIL_EVENTS)
+        )
+        merged["router"] = self.state.counters()
+        return merged
+
+    def _healthz(self) -> Response:
+        reports = {
+            instance: (
+                healthz_payload(snap) if snap else {"status": "unreachable"}
+            )
+            for instance, snap in self._scrape().items()
+        }
+        healthy = sum(
+            report["status"] == "ok" for report in reports.values()
+        )
         status = (
             "ok"
-            if healthy == total
+            if healthy == len(reports)
             else ("degraded" if healthy else "down")
         )
         return json_response(
@@ -346,83 +367,6 @@ class FleetRouter(HttpEdge):
                 "router": self.state.counters(),
             },
         )
-
-    def _metrics(self) -> Response:
-        snapshots = []
-        for instance in self.state.instances:
-            snap = _fetch_json(instance + "/metrics.json", timeout=10.0)
-            if snap is None:
-                self.state.mark_down(instance)
-            else:
-                snapshots.append(snap)
-        text = render_metrics(merge_snapshots(snapshots))
-        counters = self.state.counters()
-        lines = [
-            "# HELP repro_fleet_instances Configured service instances.",
-            "# TYPE repro_fleet_instances gauge",
-            f"repro_fleet_instances {len(self.state.instances)}",
-            "# HELP repro_fleet_healthy_instances Instances the router "
-            "considers routable.",
-            "# TYPE repro_fleet_healthy_instances gauge",
-            f"repro_fleet_healthy_instances "
-            f"{len(self.state.healthy_instances())}",
-            "# HELP repro_fleet_routed_total Requests routed per "
-            "instance.",
-            "# TYPE repro_fleet_routed_total counter",
-        ]
-        for instance, count in sorted(counters["routed"].items()):
-            lines.append(
-                f'repro_fleet_routed_total{{instance="{instance}"}} '
-                f"{count}"
-            )
-        lines += [
-            "# HELP repro_fleet_fallbacks_total Requests rerouted off a "
-            "dead primary via rendezvous hashing.",
-            "# TYPE repro_fleet_fallbacks_total counter",
-            f"repro_fleet_fallbacks_total {counters['fallbacks']}",
-            "# HELP repro_fleet_unroutable_total Requests rejected with "
-            "no healthy instance.",
-            "# TYPE repro_fleet_unroutable_total counter",
-            f"repro_fleet_unroutable_total {counters['rejected']}",
-        ]
-        return (
-            200,
-            (text + "\n".join(lines) + "\n").encode("utf-8"),
-            "text/plain; version=0.0.4; charset=utf-8",
-            None,
-        )
-
-    def _statusz(self) -> Response:
-        """Fleet-wide ``/statusz``: the same payload shape as one
-        instance, rebuilt from every reachable instance's snapshot —
-        counters through ``merge_snapshots``, rolling windows merged
-        minute-by-minute (exemplars survive), log tails interleaved by
-        timestamp with the router's own events."""
-        snapshots: List[Dict[str, Any]] = []
-        window_payloads: List[Optional[Dict[str, Any]]] = []
-        tail: List[Dict[str, Any]] = []
-        for instance in self.state.instances:
-            snap = _fetch_json(instance + "/metrics.json", timeout=10.0)
-            status = _fetch_json(instance + "/statusz", timeout=10.0)
-            if snap is None or status is None:
-                self.state.mark_down(instance)
-                continue
-            snapshots.append(snap)
-            window_payloads.append(status.get("window_raw"))
-            for event in status.get("log_tail") or []:
-                event = dict(event)
-                event.setdefault("instance", instance)
-                tail.append(event)
-        tail.extend(log_tail(limit=40))
-        tail.sort(key=lambda event: event.get("ts") or 0)
-        payload = build_statusz(
-            merge_snapshots(snapshots),
-            window=merge_window_dicts(window_payloads),
-            log_events=tail[-40:],
-            instances=len(snapshots),
-        )
-        payload["router"] = self.state.counters()
-        return json_response(200, payload)
 
     # -- routing proxy ------------------------------------------------------
 

@@ -1,10 +1,17 @@
-"""Prometheus text rendering of the service's telemetry.
+"""The views of a service snapshot, and the fleet-wide merge.
 
-One function, :func:`render_metrics`, turns
-:meth:`DeobfuscationService.metrics_snapshot` into the Prometheus
-exposition format (text version 0.0.4) — no client library needed,
-because everything exported is a monotonic counter or an instant
-gauge the service already tracks:
+:meth:`DeobfuscationService.snapshot` produces the snapshot that
+``GET /metrics.json`` serves; :func:`healthz_payload`,
+:func:`render_metrics` and :func:`statusz_payload` are ``/healthz``,
+``/metrics`` and ``/statusz`` as pure functions of one, and
+:func:`merge_snapshots` folds instance snapshots into one they render
+for the fleet router (whose ``router`` section becomes the
+``repro_fleet_*`` families).
+
+:func:`render_metrics` writes the Prometheus exposition format (text
+version 0.0.4) — no client library needed, because everything
+exported is a monotonic counter or an instant gauge the service
+already tracks:
 
 - ``repro_service_*`` — request outcomes, cache behaviour, admission
   queue depth/limit, worker fleet size and restart reasons;
@@ -29,9 +36,16 @@ both mean "a pipeline execution was avoided", which is the number a
 capacity planner wants.
 """
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
+from repro.obs import Histogram, PipelineStats, RollingWindow
 from repro.obs.trace import canonical_phase_name
+
+# Log events a snapshot carries, and a merged snapshot keeps (newest).
+LOG_TAIL_EVENTS = 40
+
+# Bump when the /statusz payload shape changes (repro top keys on it).
+STATUSZ_SCHEMA_VERSION = 1
 
 _PIPELINE_COUNTERS = (
     "tokens_rewritten",
@@ -159,55 +173,88 @@ def _sum_dicts(dicts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     return out
 
 
-def merge_snapshots(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold per-instance :meth:`metrics_snapshot` payloads into one
-    fleet-wide snapshot :func:`render_metrics` can render.
+def healthz_payload(snapshot: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``/healthz`` payload: beyond liveness, capacity (queue depth
+    vs limit, autoscaled pool size) and warm-start state, which the
+    fleet router reports per instance."""
+    cache = snapshot.get("cache") or {}
+    return {
+        "status": "draining" if snapshot.get("draining") else "ok",
+        "version": snapshot.get("version", ""),
+        "workers": snapshot.get("workers", 0),
+        "jobs": snapshot.get("jobs", 0),
+        "pool_size": snapshot.get("pool_size", 0),
+        "queue_depth": snapshot.get("queue_depth", 0),
+        "queue_limit": snapshot.get("queue_limit", 0),
+        "cache_entries": cache.get("entries", 0),
+        "cache_shards": cache.get("shards", 1),
+        "warm_start": snapshot.get("persistence") or {"enabled": False},
+        "uptime_seconds": snapshot.get("uptime_seconds", 0),
+    }
+
+
+def merge_snapshots(
+    snapshots: Mapping[str, Optional[Dict[str, Any]]],
+    router_events: Sequence[Dict[str, Any]] = (),
+) -> Dict[str, Any]:
+    """Fold per-instance snapshots (instance -> snapshot, or None for
+    one that did not answer) into one fleet-wide snapshot.
 
     Counters, queue depths/limits, cache and persistence counters,
     worker counts and restarts sum; the pipeline-telemetry aggregate
-    merges through :class:`~repro.obs.PipelineStats`; latency
-    histograms merge bucket-wise through
-    :class:`~repro.obs.Histogram`; ``uptime_seconds`` is the oldest
-    instance's; ``draining`` is true only when *every* instance is
-    draining (a single draining instance leaves the fleet serving).
+    merges through :class:`~repro.obs.PipelineStats`; histograms and
+    rolling windows (minute by minute) merge so the slowest exemplar
+    wins; log tails interleave by ``ts``, tagged with their
+    ``instance``, with the untagged *router_events*.
+    ``uptime_seconds`` is the oldest instance's; ``draining`` is true
+    only when *every* instance is draining (a single draining
+    instance leaves the fleet serving).
     """
-    from repro.obs import Histogram, PipelineStats
-
-    snapshots = [snap for snap in snapshots if snap]
-    if not snapshots:
-        return {}
+    present = {name: snap for name, snap in snapshots.items() if snap}
+    window = RollingWindow()
+    for snap in present.values():
+        if snap.get("window_raw"):
+            window.merge(RollingWindow.from_dict(snap["window_raw"]))
+    tail = [
+        {**event, "instance": name}
+        for name, snap in present.items()
+        for event in snap.get("log_tail") or ()
+    ]
+    tail.extend(router_events)
+    tail.sort(key=lambda event: event.get("ts") or 0)
     merged: Dict[str, Any] = {
-        "counters": _sum_dicts(s.get("counters") for s in snapshots),
-        "verify": _sum_dicts(s.get("verify") for s in snapshots),
-        "languages": _sum_dicts(s.get("languages") for s in snapshots),
-        "policies": _sum_dicts(s.get("policies") for s in snapshots),
-        "cache": _sum_dicts(s.get("cache") for s in snapshots),
-        "persistence": _sum_dicts(
-            s.get("persistence") for s in snapshots
-        ),
-        "worker_restarts": _sum_dicts(
-            s.get("worker_restarts") for s in snapshots
-        ),
-        "queue_depth": sum(s.get("queue_depth", 0) for s in snapshots),
-        "queue_limit": sum(s.get("queue_limit", 0) for s in snapshots),
-        "workers": sum(s.get("workers", 0) for s in snapshots),
-        "pool_size": sum(s.get("pool_size", 0) for s in snapshots),
-        "draining": all(s.get("draining") for s in snapshots),
-        "uptime_seconds": max(
-            s.get("uptime_seconds", 0) for s in snapshots
-        ),
-        "instances": len(snapshots),
+        "instances": len(present),
+        "window_raw": window.to_dict(),
+        "log_tail": tail[-LOG_TAIL_EVENTS:],
     }
+    if not present:
+        return merged
+    snaps = list(present.values())
+    merged.update(
+        counters=_sum_dicts(s.get("counters") for s in snaps),
+        verify=_sum_dicts(s.get("verify") for s in snaps),
+        languages=_sum_dicts(s.get("languages") for s in snaps),
+        policies=_sum_dicts(s.get("policies") for s in snaps),
+        cache=_sum_dicts(s.get("cache") for s in snaps),
+        persistence=_sum_dicts(s.get("persistence") for s in snaps),
+        worker_restarts=_sum_dicts(s.get("worker_restarts") for s in snaps),
+        queue_depth=sum(s.get("queue_depth", 0) for s in snaps),
+        queue_limit=sum(s.get("queue_limit", 0) for s in snaps),
+        workers=sum(s.get("workers", 0) for s in snaps),
+        pool_size=sum(s.get("pool_size", 0) for s in snaps),
+        draining=all(s.get("draining") for s in snaps),
+        uptime_seconds=max(s.get("uptime_seconds", 0) for s in snaps),
+    )
     # warm_start/enabled summed as ints above would be misleading —
     # report "any instance" semantics instead.
     merged["persistence"]["enabled"] = any(
-        (s.get("persistence") or {}).get("enabled") for s in snapshots
+        (s.get("persistence") or {}).get("enabled") for s in snaps
     )
     merged["persistence"]["warm_start"] = any(
-        (s.get("persistence") or {}).get("warm_start") for s in snapshots
+        (s.get("persistence") or {}).get("warm_start") for s in snaps
     )
     totals = PipelineStats()
-    for snap in snapshots:
+    for snap in snaps:
         pipeline = snap.get("pipeline")
         if isinstance(pipeline, dict):
             totals.merge(PipelineStats.from_dict(pipeline))
@@ -217,7 +264,7 @@ def merge_snapshots(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
         "request_duration_histogram",
     ):
         combined = Histogram()
-        for snap in snapshots:
+        for snap in snaps:
             payload = snap.get(name)
             if isinstance(payload, dict) and payload:
                 combined.merge(Histogram.from_dict(payload))
@@ -226,7 +273,7 @@ def merge_snapshots(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
     # key, so per-language latency (and its exemplars) survives fleet
     # aggregation instead of collapsing into the unlabeled total.
     by_label: Dict[str, Histogram] = {}
-    for snap in snapshots:
+    for snap in snaps:
         for label, payload in (snap.get("request_duration_by") or {}).items():
             if not isinstance(payload, dict) or not payload:
                 continue
@@ -242,27 +289,11 @@ def merge_snapshots(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
     return merged
 
 
-# Bump when the /statusz payload shape changes (repro top keys on it).
-STATUSZ_SCHEMA_VERSION = 1
-
-
-def build_statusz(
-    snapshot: Dict[str, Any],
-    window,
-    log_events: List[Dict[str, Any]],
-    instances: int = 1,
-) -> Dict[str, Any]:
-    """The ``/statusz`` JSON payload for one snapshot + rolling window.
-
-    Both the single-instance endpoint (:meth:`DeobfuscationService
-    .statusz`) and the fleet router build through here, so ``repro
-    top`` renders one shape.  *window* is a
-    :class:`~repro.obs.window.RollingWindow`; its serialized form is
-    embedded as ``window_raw`` so the fleet router can re-merge
-    instance windows minute-by-minute.
-    """
-    from repro.obs import Histogram
-
+def statusz_payload(snapshot: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``/statusz`` payload, one shape for an instance's snapshot
+    and a merged one, so ``repro top`` renders either; ``windows``
+    derive from the embedded ``window_raw``."""
+    window = RollingWindow.from_dict(snapshot.get("window_raw") or {})
     counters = snapshot.get("counters") or {}
     pipeline = snapshot.get("pipeline") or {}
     techniques = sorted(
@@ -284,9 +315,9 @@ def build_statusz(
         }
     hits = counters.get("cache_hits", 0) + counters.get("coalesced", 0)
     answered = hits + counters.get("executions", 0)
-    return {
+    payload = {
         "schema_version": STATUSZ_SCHEMA_VERSION,
-        "instances": instances,
+        "instances": snapshot.get("instances", 1),
         "windows": window.snapshot(),
         "window_raw": window.to_dict(),
         "counters": counters,
@@ -313,9 +344,12 @@ def build_statusz(
             {"technique": technique, "count": count}
             for technique, count in techniques
         ],
-        "log_tail": list(log_events),
+        "log_tail": list(snapshot.get("log_tail") or ()),
         "uptime_seconds": snapshot.get("uptime_seconds", 0),
     }
+    if "router" in snapshot:
+        payload["router"] = snapshot["router"]
+    return payload
 
 
 def render_metrics(snapshot: Dict[str, Any]) -> str:
@@ -677,4 +711,48 @@ def render_metrics(snapshot: Dict[str, Any]) -> str:
             emit_header=first,
         )
         first = False
+    # A merged snapshot's ``router`` section is the fleet router's
+    # FleetState.counters(); ``routed`` has one entry per instance.
+    router = snapshot.get("router")
+    if router is not None:
+        routed = router.get("routed") or {}
+        unhealthy = set(router.get("unhealthy") or ())
+        _metric(
+            lines,
+            "repro_fleet_instances",
+            "gauge",
+            "Configured service instances.",
+            [(None, len(routed))],
+        )
+        _metric(
+            lines,
+            "repro_fleet_healthy_instances",
+            "gauge",
+            "Instances the router considers routable.",
+            [(None, len(set(routed) - unhealthy))],
+        )
+        _metric(
+            lines,
+            "repro_fleet_routed_total",
+            "counter",
+            "Requests routed per instance.",
+            [
+                ({"instance": instance}, count)
+                for instance, count in sorted(routed.items())
+            ],
+        )
+        _metric(
+            lines,
+            "repro_fleet_fallbacks_total",
+            "counter",
+            "Requests rerouted off a dead primary via rendezvous hashing.",
+            [(None, router.get("fallbacks", 0))],
+        )
+        _metric(
+            lines,
+            "repro_fleet_unroutable_total",
+            "counter",
+            "Requests rejected with no healthy instance.",
+            [(None, router.get("rejected", 0))],
+        )
     return "\n".join(lines) + "\n"

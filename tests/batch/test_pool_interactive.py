@@ -4,6 +4,7 @@ warm across many requests (``run()`` covers the one-shot batch path).
 """
 
 import os
+import socket
 import time
 
 import pytest
@@ -184,6 +185,24 @@ class TestLifecycle:
         # nobody waits out the join deadline or gets SIGKILLed.
         assert time.monotonic() - started < 0.5
         assert [proc.exitcode for proc in procs] == [0, 0]
+
+    def test_worker_releases_sockets_open_at_fork(self):
+        # A server's connection that is open when a worker forks must
+        # still read as EOF at the client once the server closes it.
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = socket.create_connection(listener.getsockname())
+            server_side, _ = listener.accept()
+            pool = BatchPool(jobs=1)
+            try:
+                pool.submit(Task(path="mem:a", source="write-host a"))
+                # The worker answered, so it released what it inherited.
+                collect_all(pool, 1)
+                server_side.close()
+                client.settimeout(5.0)
+                assert client.recv(1) == b""
+            finally:
+                client.close()
+                pool.close()
 
     def test_run_generator_still_works_after_interactive_use(self, tmp_path):
         pool = BatchPool(jobs=2)

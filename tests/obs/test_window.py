@@ -7,11 +7,7 @@ no sleeps, no wall-clock flakiness.
 
 import threading
 
-from repro.obs.window import (
-    WINDOW_MINUTES,
-    RollingWindow,
-    merge_window_dicts,
-)
+from repro.obs.window import WINDOW_MINUTES, RollingWindow
 
 
 class FakeClock:
@@ -128,20 +124,33 @@ class TestSerializationAndMerge:
         # The slowest instance's exemplar survives the merge.
         assert one["exemplar"]["trace_id"] == "b-slow"
 
+    # The fleet-wide window is folded by merge_snapshots from each
+    # instance snapshot's ``window_raw``.
     def test_merge_window_dicts_skips_down_instances(self):
+        from repro.service.metrics import merge_snapshots
+
         clock = FakeClock()
         a = RollingWindow(clock=clock)
         a.incr("requests", 1)
         b = RollingWindow(clock=clock)
         b.incr("requests", 4)
-        merged = merge_window_dicts(
-            [a.to_dict(), None, b.to_dict()], clock=clock
+        merged = merge_snapshots(
+            {
+                "a": {"window_raw": a.to_dict()},
+                "down": None,
+                "b": {"window_raw": b.to_dict()},
+            }
         )
-        assert merged.snapshot()["1m"]["requests"] == 5
+        window = RollingWindow.from_dict(merged["window_raw"], clock=clock)
+        assert window.snapshot()["1m"]["requests"] == 5
 
     def test_merge_window_dicts_all_down_is_empty(self):
-        merged = merge_window_dicts([None, None], clock=FakeClock())
-        assert merged.snapshot()["1m"]["requests"] == 0
+        from repro.service.metrics import merge_snapshots
+
+        clock = FakeClock()
+        merged = merge_snapshots({"a": None, "b": None})
+        window = RollingWindow.from_dict(merged["window_raw"], clock=clock)
+        assert window.snapshot()["1m"]["requests"] == 0
 
 
 class TestThreadSafety:

@@ -11,6 +11,7 @@ import threading
 import time
 
 from repro.service import DeobfuscationService, ServiceConfig
+from repro.service.metrics import healthz_payload
 from tests.service.helpers import SLEEP_MARKER
 
 COUNTING = "tests.service.helpers:counting_worker"
@@ -69,7 +70,7 @@ class TestAutoscale:
             shrank = wait_for(lambda: service.pool.jobs == 1)
             assert shrank, "pool never shrank back to the floor"
             assert service.counters["scale_downs"] >= 1
-            snap = service.metrics_snapshot()
+            snap = service.snapshot()
             assert snap["pool_size"] == 1
             assert snap["counters"]["scale_ups"] >= 1
 
@@ -92,4 +93,4 @@ class TestAutoscale:
     def test_healthz_reports_live_pool_size(self):
         config = ServiceConfig(jobs=2, timeout=5.0, worker=COUNTING)
         with DeobfuscationService(config) as service:
-            assert service.healthz()["pool_size"] == 2
+            assert healthz_payload(service.snapshot())["pool_size"] == 2

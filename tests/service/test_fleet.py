@@ -242,6 +242,23 @@ class TestRouterProxy:
             for report in health["instances"].values()
         )
 
+    def test_healthz_reports_a_draining_instance(self, fleet):
+        state, url, handles = fleet
+        host, port = handles[0].server_address
+        draining = f"http://{host}:{port}"
+        handles[0].server.service.begin_drain()
+        status, body = get(url, "/healthz")
+        health = json.loads(body)
+        assert status == 200
+        assert health["status"] == "degraded"
+        assert health["healthy_instances"] == 1
+        # The instance's own health view, not "unreachable": its
+        # /healthz answers 503 while draining, its snapshot does not.
+        assert health["instances"][draining]["status"] == "draining"
+        assert health["instances"][draining]["queue_limit"] == 16
+        # Routing skips it.
+        assert draining not in state.healthy_instances()
+
     def test_metrics_aggregates_and_counts_routing(self, fleet):
         _state, url, _handles = fleet
         for index in range(4):
@@ -312,7 +329,10 @@ class TestMergeSnapshots:
             services[0].submit("write-host merge-a")
             services[1].submit("write-host merge-b")
             merged = merge_snapshots(
-                [service.metrics_snapshot() for service in services]
+                {
+                    str(index): service.snapshot()
+                    for index, service in enumerate(services)
+                }
             )
             assert merged["counters"]["requests"] == 3
             assert merged["counters"]["cache_hits"] == 1
@@ -330,8 +350,91 @@ class TestMergeSnapshots:
     def test_empty_list_renders(self):
         from repro.service.metrics import merge_snapshots, render_metrics
 
-        text = render_metrics(merge_snapshots([]))
+        text = render_metrics(merge_snapshots({}))
         assert "repro_service_requests_total 0" in text
+
+    def test_windows_and_log_tails_merge_across_instances(self):
+        from repro.obs import RollingWindow
+        from repro.service.metrics import merge_snapshots
+        from tests.obs.test_window import FakeClock
+
+        clock = FakeClock()
+        a = RollingWindow(clock=clock)
+        a.incr("requests", 1)
+        a.observe(0.1, "a-trace")
+        b = RollingWindow(clock=clock)
+        b.incr("requests", 4)
+        b.observe(2.0, "b-slow")
+        merged = merge_snapshots(
+            {
+                "http://a": {
+                    "window_raw": a.to_dict(),
+                    "log_tail": [
+                        {"ts": 1.0, "message": "a1"},
+                        {"ts": 3.0, "message": "a3"},
+                    ],
+                },
+                "http://down": None,
+                "http://b": {
+                    "window_raw": b.to_dict(),
+                    "log_tail": [{"ts": 2.0, "message": "b2"}],
+                },
+            },
+            router_events=[{"ts": 2.5, "message": "routed"}],
+        )
+        # The instance that did not answer is skipped.
+        assert merged["instances"] == 2
+        one = RollingWindow.from_dict(
+            merged["window_raw"], clock=clock
+        ).snapshot()["1m"]
+        assert one["requests"] == 5
+        assert one["observations"] == 2
+        # The slowest instance's exemplar survives the merge.
+        assert one["exemplar"]["trace_id"] == "b-slow"
+        # Tails interleave by timestamp; instance events are tagged,
+        # the router's own are not.
+        assert [
+            (event["message"], event.get("instance"))
+            for event in merged["log_tail"]
+        ] == [
+            ("a1", "http://a"),
+            ("b2", "http://b"),
+            ("routed", None),
+            ("a3", "http://a"),
+        ]
+
+        down = merge_snapshots({"http://a": None, "http://b": None})
+        assert down["instances"] == 0
+        empty = RollingWindow.from_dict(down["window_raw"], clock=clock)
+        assert empty.snapshot()["1m"]["requests"] == 0
+
+
+class TestRouterScrape:
+    def test_each_aggregate_get_fetches_every_instance_once(
+        self, monkeypatch
+    ):
+        from repro.service import fleet as fleet_module
+
+        instances = ["http://127.0.0.1:1", "http://127.0.0.1:2"]
+        fetched = []
+
+        def fake_fetch(url, timeout=10.0):
+            fetched.append(url)
+            return {"counters": {"requests": 1}, "draining": False}
+
+        monkeypatch.setattr(fleet_module, "_fetch_json", fake_fetch)
+        router = start_edge(FleetRouter(FleetState(instances)))
+        host, port = router.server_address
+        try:
+            for path in ("/healthz", "/metrics", "/statusz"):
+                fetched.clear()
+                status, _body = get(f"http://{host}:{port}", path)
+                assert sorted(fetched) == [
+                    instance + "/metrics.json" for instance in instances
+                ]
+                assert status == 200
+        finally:
+            router.shutdown(drain=True)
 
 
 class TestRouterStatusz:

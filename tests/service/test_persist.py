@@ -10,6 +10,7 @@ import json
 import os
 
 from repro.service import CachePersistence, DeobfuscationService, ServiceConfig
+from repro.service.metrics import healthz_payload
 from repro.service.persist import JOURNAL_NAME, SNAPSHOT_NAME
 from tests.service.helpers import COUNTER_ENV
 
@@ -140,12 +141,12 @@ class TestServiceWarmStart:
             for script in scripts:
                 record = service.submit(script)
                 assert record["status"] == "ok"
-            assert service.healthz()["warm_start"]["enabled"] is True
+            assert healthz_payload(service.snapshot())["warm_start"]["enabled"] is True
         executions_before = len(counter.read_text().splitlines())
         assert executions_before == 10
 
         with self.service(tmp_path) as restarted:
-            health = restarted.healthz()
+            health = healthz_payload(restarted.snapshot())
             assert health["warm_start"]["warm_start"] is True
             assert health["warm_start"]["loaded_entries"] == 10
             hits = 0
@@ -156,7 +157,7 @@ class TestServiceWarmStart:
             # The acceptance bar: >= 90% of previously-seen scripts are
             # answered without a pipeline execution.
             assert hits >= 9
-            snap = restarted.metrics_snapshot()
+            snap = restarted.snapshot()
             assert snap["persistence"]["warm_start"] is True
             assert snap["cache"]["loaded_entries"] == 10
         # Cross-process proof: the restart added no executions.
@@ -172,10 +173,10 @@ class TestServiceWarmStart:
             assert record["status"] == "ok"
 
         with self.service(tmp_path) as restarted:
-            assert restarted.healthz()["warm_start"]["loaded_entries"] == 1
+            assert healthz_payload(restarted.snapshot())["warm_start"]["loaded_entries"] == 1
 
     def test_disabled_without_cache_dir(self, tmp_path):
         with self.service(tmp_path, cache_dir=None) as service:
-            assert service.healthz()["warm_start"] == {"enabled": False}
-            snap = service.metrics_snapshot()
+            assert healthz_payload(service.snapshot())["warm_start"] == {"enabled": False}
+            snap = service.snapshot()
             assert snap["persistence"] == {"enabled": False}

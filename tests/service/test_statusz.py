@@ -23,6 +23,7 @@ from repro.obs.log import (
 from repro.service import DeobfuscationService, ServiceConfig
 from repro.service.metrics import (
     STATUSZ_SCHEMA_VERSION,
+    healthz_payload,
     merge_snapshots,
     render_metrics,
 )
@@ -75,7 +76,7 @@ class TestStatuszAsync:
         assert finished
         assert finished[-1]["trace_id"] == body["trace_id"]
 
-        # window_raw round-trips (the fleet router depends on it).
+        # The windows above derive from the embedded window_raw.
         assert payload["window_raw"]["slots"]
 
     def test_statusz_without_logging_still_serves(self, served):
@@ -149,11 +150,11 @@ class TestJournalDroppedSurfacing:
             ServiceConfig(jobs=1, queue_limit=4, cache_dir=directory)
         ).start()
         try:
-            health = service.healthz()
+            health = healthz_payload(service.snapshot())
             warm = health["warm_start"]
             assert warm["warm_start"] is True
             assert warm["journal_skipped_records"] == 2
-            text = render_metrics(service.metrics_snapshot())
+            text = render_metrics(service.snapshot())
             assert metric_value(
                 text, "repro_service_cache_journal_dropped_total"
             ) == 2
@@ -191,15 +192,17 @@ class TestLabeledHistogramMerge:
 
     def test_merge_snapshots_folds_per_label(self):
         merged = merge_snapshots(
-            [
-                self.snapshot_with(
+            {
+                "a": self.snapshot_with(
                     "powershell|recovery-strict", [0.01, 0.02], "t-a"
                 ),
-                self.snapshot_with(
+                "b": self.snapshot_with(
                     "powershell|recovery-strict", [4.0], "t-slow"
                 ),
-                self.snapshot_with("js|verify-observing", [0.5], "t-js"),
-            ]
+                "c": self.snapshot_with(
+                    "js|verify-observing", [0.5], "t-js"
+                ),
+            }
         )
         by = merged["request_duration_by"]
         assert set(by) == {
@@ -213,12 +216,14 @@ class TestLabeledHistogramMerge:
 
     def test_render_metrics_emits_one_labeled_family(self):
         merged = merge_snapshots(
-            [
-                self.snapshot_with(
+            {
+                "a": self.snapshot_with(
                     "powershell|recovery-strict", [0.01], "t-a"
                 ),
-                self.snapshot_with("js|verify-observing", [0.5], "t-js"),
-            ]
+                "b": self.snapshot_with(
+                    "js|verify-observing", [0.5], "t-js"
+                ),
+            }
         )
         text = render_metrics(merged)
         labeled = [

@@ -139,7 +139,7 @@ class TestHistogramsUnderLoad:
                 "heavy", random.Random(5), layer_depth=2
             )
             service.submit(heavy.script, timeout=30.0)
-            snapshot = service.metrics_snapshot()
+            snapshot = service.snapshot()
         finally:
             service.close()
 
@@ -164,7 +164,7 @@ class TestHistogramsUnderLoad:
         service.start()
         try:
             service.submit(SCRIPT)
-            text = render_metrics(service.metrics_snapshot())
+            text = render_metrics(service.snapshot())
         finally:
             service.close()
         assert 'repro_pipeline_techniques_total{technique="concat"} 1' \
